@@ -119,13 +119,14 @@ def check_density(rho, trace_tol=TRACE_TOL, herm_tol=HERMITICITY_TOL,
 
 
 def random_bloch_vector(d, rng, radius=None):
-    """Draw a Bloch vector uniformly from the valid state set.
+    """Draw a random valid Bloch vector.
 
-    Qubits: uniform ball. d = 3: rejection sampling of the outer ball on
-    positivity of the density matrix (~2.7% acceptance). d >= 4: the
-    state body is a vanishing fraction of the outer ball and rejection
-    never terminates in practice, so states are drawn from the
-    Hilbert-Schmidt (Ginibre) ensemble instead.
+    Qubits: uniform over the ball. d = 3: uniform over the state set, by
+    rejection sampling of the outer ball on positivity of the density
+    matrix (~2.7% acceptance). d >= 4: not uniform; the state body is a
+    vanishing fraction of the outer ball and rejection never terminates
+    in practice, so states are drawn from the Hilbert-Schmidt (Ginibre)
+    ensemble instead, and `radius` is ignored.
     """
     n = d * d - 1
     r_d = max_radius(d) if radius is None else radius

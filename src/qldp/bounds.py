@@ -6,7 +6,7 @@ unbiased estimator under any eps-LDP channel can (lower bound) reach mean
 squared error alpha from N privatized copies.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -14,9 +14,9 @@ import numpy as np
 from . import qfi as qfi_mod
 from .exceptions import (
     InvalidBiasError,
-    InvalidBudgetError,
     OutOfRegimeError,
     UnsupportedDimensionError,
+    check_budget,
 )
 
 INNER_PRODUCT_TOL = 1e-10
@@ -31,11 +31,11 @@ class BoundsReport:
     C1: float  # None when the inner-product assumption fails
     C2: float
     C1_bar: float
-    N_lower: int
+    N_lower: int  # None with C1
     N_upper: int
-    N_lower_real: float
+    N_lower_real: float  # None with C1
     N_upper_real: float
-    fisher_cap: float
+    fisher_cap: float  # None with C1
     regime_flags: frozenset
     bias: float = 0.0
     notes: str = ""
@@ -72,7 +72,10 @@ def constants_thm1(fam, lam):
     """(C1, C2): C2 = 1/||dw||^2 and
     C1 = (1/||dw||^2) (4 + (1/4) ||dw||^2 / <dw, w>^2)^{-1}.
     C1 is None when |<dw, w>| <= 1e-10 (assumption violated)."""
-    w, dw = _geometry(fam, lam)
+    return _constants(*_geometry(fam, lam))
+
+
+def _constants(w, dw):
     dd = float(dw @ dw)
     if dd == 0.0:
         raise OutOfRegimeError("family derivative vanishes; constants undefined")
@@ -94,7 +97,10 @@ def biased_factor(b):
 def fisher_cap_thm1(fam, lam, eps):
     """Certified QFI ceiling over all eps-LDP qubit channels:
     4 (e^eps - 1)^2 ||dw||^2 (1 + (1/16) ||dw||^2 / <dw, w>^2)."""
-    w, dw = _geometry(fam, lam)
+    return _fisher_cap(*_geometry(fam, lam), eps)
+
+
+def _fisher_cap(w, dw, eps):
     inner = float(dw @ w)
     if abs(inner) <= INNER_PRODUCT_TOL:
         raise OutOfRegimeError(
@@ -121,14 +127,15 @@ def fisher_cap_thm2(fam, lam, eps):
 def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
     """Two-sided sample-complexity report:
     N_lower = C1 (1-b)^2 / (alpha (e^eps - 1)^2),
-    N_upper = C2 (e^eps + 1)^2 / (alpha (e^eps - 1)^2)."""
+    N_upper = C2 (e^eps + 1)^2 / (alpha (e^eps - 1)^2).
+    N_lower, N_lower_real and fisher_cap are None with C1."""
     if alpha <= 0.0:
         raise OutOfRegimeError(f"alpha must be > 0, got {alpha}")
-    if eps < 0.0:
-        raise InvalidBudgetError(f"privacy budget must be >= 0, got {eps}")
+    check_budget(eps)
     if eps == 0.0:
         raise OutOfRegimeError("bounds diverge at eps = 0 (no information flow)")
-    C1, C2 = constants_thm1(fam, lam)
+    w, dw = _geometry(fam, lam)
+    C1, C2 = _constants(w, dw)
     factor = biased_factor(bias)
     g = np.exp(eps)
     denom = alpha * (g - 1.0) ** 2
@@ -142,14 +149,13 @@ def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
     if eps > 1.0:
         notes = ("large-budget regime: the lower bound loosens arbitrarily "
                  "while the upper bound saturates at C2/alpha")
-    w, dw = _geometry(fam, lam)
     C1_bar = _c1_bar(dw)
     if C1 is not None:
         lower = factor * C1 / denom
-        cap = fisher_cap_thm1(fam, lam, eps)
+        cap = _fisher_cap(w, dw, eps)
     else:
-        lower = float("nan")
-        cap = float("nan")
+        lower = None
+        cap = None
         notes = "inner product <dw, w> = 0: C1 and the Fisher cap are undefined"
     return BoundsReport(
         alpha=float(alpha),
@@ -157,11 +163,11 @@ def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
         C1=C1,
         C2=C2,
         C1_bar=C1_bar,
-        N_lower=int(math.ceil(lower)) if np.isfinite(lower) else None,
+        N_lower=None if lower is None else int(math.ceil(lower)),
         N_upper=int(math.ceil(upper)),
-        N_lower_real=float(lower),
+        N_lower_real=None if lower is None else float(lower),
         N_upper_real=float(upper),
-        fisher_cap=float(cap),
+        fisher_cap=None if cap is None else float(cap),
         regime_flags=frozenset(flags),
         bias=float(bias),
         notes=notes,

@@ -1,24 +1,19 @@
 """Affine Bloch-space representation of quantum channels.
 
 A channel acts on Bloch vectors as w -> A w + c. Includes the depolarizing
-mechanism calibrated to a privacy budget, the image-radius validity check,
-and a Choi-matrix complete-positivity check for qubits.
+mechanism calibrated to a privacy budget, the image radius (the largest
+output Bloch radius), and a Choi-matrix complete-positivity check for qubits.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
 
 from . import bloch
-from .exceptions import (
-    InvalidBudgetError,
-    InvalidInputError,
-    UnsupportedDimensionError,
-)
+from .exceptions import InvalidInputError, UnsupportedDimensionError, check_budget
 from .sphere import maximize_convex_on_sphere, seed_directions
 
-IMAGE_TOL = 1e-9
 CHOI_TOL = -1e-10
 
 
@@ -68,8 +63,7 @@ def identity_channel(d=2):
 def depolarizing(d, eps):
     """Depolarizing channel calibrated to budget eps: A = (1-p) I, c = 0,
     with p = d / (d - 1 + e^eps) (p = 2/(1+e^eps) for qubits)."""
-    if eps < 0:
-        raise InvalidBudgetError(f"privacy budget must be >= 0, got {eps}")
+    check_budget(eps)
     if d < 2:
         raise InvalidInputError(f"dimension must be >= 2, got {d}")
     p = d / (d - 1 + np.exp(eps))
@@ -115,11 +109,6 @@ def image_radius(ch, n_seeds=256):
 
     best, _ = maximize_convex_on_sphere(value, gradient, seeds)
     return best
-
-
-def is_valid(ch, tol=IMAGE_TOL):
-    """Image condition: channel maps the outer ball into itself."""
-    return image_radius(ch) <= bloch.max_radius(ch.d) + tol
 
 
 def cp_check(ch):

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bloch, bounds, channels, divergence, estimation, ldp
+from . import bounds, channels, divergence, estimation, ldp
 from . import optimizer as opt_mod
 from . import qfi as qfi_mod
 from .exceptions import OutOfRegimeError, QldpError
@@ -39,19 +39,19 @@ def _fmt(x):
     return x
 
 
-def _emit(args, payload, out_path=None):
+def _emit(args, payload):
     artifact = {"schema": SCHEMA, "config": _config_echo(args), "result": _fmt(payload)}
     text = json.dumps(artifact, indent=2, sort_keys=True)
-    _write(out_path or getattr(args, "out", None), text + "\n")
+    _write(args.out, text + "\n")
 
 
-def _emit_csv(args, header, rows, out_path=None):
+def _emit_csv(args, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    _write(out_path or getattr(args, "out", None), buf.getvalue())
+    _write(args.out, buf.getvalue())
 
 
 def _write(path, text):
@@ -234,34 +234,25 @@ def cmd_report(args):
     os.makedirs(outdir, exist_ok=True)
     grid = _parse_grid(args.eps_grid)
 
-    rows = []
-    for eps in grid:
-        rep = bounds.bounds_thm1(fam, args.lam, args.alpha, float(eps))
-        rows.append([float(eps), rep.N_lower_real, rep.N_upper_real,
-                     rep.fisher_cap])
-    _emit_csv(args, ["eps", "N_lower", "N_upper", "fisher_cap"], rows,
-              out_path=os.path.join(outdir, "bounds.csv"))
+    def to(name, **extra):
+        return argparse.Namespace(**vars(args), **extra,
+                                  out=os.path.join(outdir, name))
 
-    results = opt_mod.sweep(fam, args.lam, grid, starts=args.starts,
-                            seed=args.seed)
-    _emit_csv(args, ["eps", "best_qfi", "fisher_cap", "cap_ratio", "margin"],
-              [[r.eps, r.best_qfi, r.fisher_cap if r.fisher_cap else
-                float("nan"), r.cap_ratio, r.feasibility_margin]
-               for r in results],
-              out_path=os.path.join(outdir, "optimizer.csv"))
+    cmd_scaling(to("bounds.csv"))
+    cmd_optimize_sweep(to("optimizer.csv", c_zero=False))
 
     certs = []
     for eps in grid:
         cert = ldp.certify(channels.depolarizing(2, float(eps)), float(eps))
         certs.append([float(eps), cert.sup_value, cert.margin,
                       int(cert.verdict)])
-    _emit_csv(args, ["eps", "sup_value", "margin", "verdict"], certs,
-              out_path=os.path.join(outdir, "certification.csv"))
+    _emit_csv(to("certification.csv"), ["eps", "sup_value", "margin", "verdict"],
+              certs)
 
     mid_eps = float(grid[len(grid) // 2])
     sim = estimation.validate_upper_bound(fam, args.lam, args.alpha, mid_eps,
                                           args.trials, args.seed)
-    _emit(args, sim, out_path=os.path.join(outdir, "simulation.json"))
+    _emit(to("simulation.json"), sim)
 
     manifest = {
         "schema": SCHEMA,
@@ -292,17 +283,11 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file; flags take precedence")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--out-format", choices=["json", "csv"], default="json",
-                       dest="out_format")
-
     p = sub.add_parser("qfi", help="quantum Fisher information of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--dim", type=int)
-    common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("certify", help="exact qubit LDP certificate")
@@ -311,12 +296,12 @@ def build_parser():
     p.add_argument("--eps", type=float)
     p.add_argument("--at-eps", dest="at_eps", type=float)
     p.add_argument("--dim", type=int)
-    common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("tighteps", help="smallest certifying budget")
     p.add_argument("--channel", required=True)
-    common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_tighteps)
 
     p = sub.add_parser("audit", help="hockey-stick sampling audit")
@@ -325,14 +310,14 @@ def build_parser():
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--dim", type=int)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("divergence", help="hockey-stick divergence of two states")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
-    common(p)
     p.set_defaults(func=cmd_divergence)
 
     p = sub.add_parser("bounds", help="sample-complexity bounds")
@@ -344,7 +329,7 @@ def build_parser():
     p.add_argument("--dim", type=int)
     p.add_argument("--corollary1", action="store_true")
     p.add_argument("--thm2", action="store_true")
-    common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("scaling", help="bounds over a budget grid (CSV)")
@@ -352,7 +337,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps-grid", dest="eps_grid", required=True)
-    common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("simulate", help="Monte Carlo CRB validation")
@@ -363,7 +348,10 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--channel")
     p.add_argument("--n", type=int)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out-format", choices=["json", "csv"], default="json",
+                   dest="out_format")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="search for the highest-QFI channel")
@@ -372,7 +360,8 @@ def build_parser():
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--starts", type=int, default=32)
     p.add_argument("--c-zero", dest="c_zero", action="store_true")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("optimize-sweep", help="channel search over a budget grid")
@@ -381,7 +370,8 @@ def build_parser():
     p.add_argument("--eps-grid", dest="eps_grid", required=True)
     p.add_argument("--starts", type=int, default=32)
     p.add_argument("--c-zero", dest="c_zero", action="store_true")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_optimize_sweep)
 
     p = sub.add_parser("report", help="one-shot reproduction bundle")
@@ -392,7 +382,7 @@ def build_parser():
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -403,10 +393,14 @@ def _apply_config_file(parser, argv, args):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
-    defaults = {k.replace("-", "_"): v for k, v in cfg.items()
-                if k not in ("subcommand",)}
-    known = {a for a in vars(args)}
-    parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    # defaults set on the top-level parser never reach a subparser, so the
+    # keys the chosen subcommand knows go to that subcommand's parser
+    defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
+    known = set(vars(args)) - {"config", "subcommand", "func"}
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    sub.choices[args.subcommand].set_defaults(
+        **{k: v for k, v in defaults.items() if k in known})
     return parser.parse_args(argv)
 
 

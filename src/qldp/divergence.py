@@ -1,43 +1,34 @@
 """Trace norms and the quantum hockey-stick divergence.
 
 E_gamma(rho || sigma) = (1/2) ||rho - gamma sigma||_1 + (1/2)(1 - gamma).
-For 2x2 Hermitian matrices written as m I + n.sigma the trace norm has the
-closed form |m - ||n||| + |m + ||n|||, which keeps batch audits cheap.
+Batches of qubit pairs use the Bloch-vector closed form
+`hockey_stick_qubit` instead of matrices.
 """
 
 import numpy as np
 
-from . import bloch
 from .exceptions import InvalidInputError
 
 HERM_TOL = 1e-10
-FAST_PATH_AGREEMENT_TOL = 1e-12
 
 
 def trace_norm(M):
-    """Sum of absolute eigenvalues of a Hermitian matrix.
-
-    2x2 inputs take the closed-form path; under debug builds the two
-    paths are asserted to agree to 1e-12.
-    """
+    """Sum of absolute eigenvalues of a Hermitian matrix of any size."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
     if np.max(np.abs(M - M.conj().T)) > HERM_TOL:
         raise InvalidInputError("matrix is not Hermitian")
-    if M.shape[0] == 2:
-        m = 0.5 * np.trace(M).real
-        n = 0.5 * np.real(np.einsum("ab,iba->i", M, bloch.generators(2)))
-        r = float(np.linalg.norm(n))
-        val = abs(m - r) + abs(m + r)
-        assert abs(val - float(np.sum(np.abs(np.linalg.eigvalsh(M))))) \
-            <= FAST_PATH_AGREEMENT_TOL * max(1.0, val)
-        return val
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))))
 
 
 def hockey_stick(rho, sigma, gamma):
-    """Quantum hockey-stick divergence E_gamma(rho || sigma), gamma >= 1."""
+    """Quantum hockey-stick divergence E_gamma(rho || sigma), gamma >= 1.
+
+    E_gamma is never negative; the eigenvalue sum can round a zero
+    divergence to about -1e-15, so the result is clamped at 0 as in
+    `hockey_stick_qubit`.
+    """
     if gamma < 1.0:
         raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
     rho = np.asarray(rho)
@@ -46,7 +37,8 @@ def hockey_stick(rho, sigma, gamma):
         raise InvalidInputError(
             f"dimension mismatch: {rho.shape} vs {sigma.shape}"
         )
-    return 0.5 * trace_norm(rho - gamma * sigma) + 0.5 * (1.0 - gamma)
+    val = 0.5 * trace_norm(rho - gamma * sigma) + 0.5 * (1.0 - gamma)
+    return max(0.0, val)
 
 
 def hockey_stick_qubit(w, v, gamma):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bloch, bounds, channels, qfi as qfi_mod
+from . import bloch, bounds, channels
 from .exceptions import InvalidInputError, RankDeficientError
 
 FULL_RANK_TOL = 1e-10

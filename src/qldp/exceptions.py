@@ -4,6 +4,8 @@ All inherit from ValueError so callers that only care about "bad input"
 can catch one base class.
 """
 
+import math
+
 
 class QldpError(ValueError):
     """Base class for all package-specific errors."""
@@ -30,7 +32,15 @@ class InvalidInputError(QldpError):
 
 
 class InvalidBudgetError(QldpError):
-    """Privacy budget eps is negative."""
+    """Privacy budget eps is negative, NaN or infinite."""
+
+
+def check_budget(eps):
+    """Raise InvalidBudgetError unless eps is a finite number >= 0."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InvalidBudgetError(
+            f"privacy budget must be a finite number >= 0, got {eps}"
+        )
 
 
 class OutOfRegimeError(QldpError):

@@ -9,12 +9,12 @@ a convex maximization over S^2 solved by multi-start ascent (and exactly
 by the largest singular value when c = 0).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bloch, channels, divergence
-from .exceptions import DivergedError, InvalidBudgetError, UnsupportedDimensionError
+from .exceptions import DivergedError, UnsupportedDimensionError, check_budget
 from .sphere import maximize_convex_on_sphere, seed_directions
 
 MARGIN_TOL = 1e-9
@@ -53,21 +53,10 @@ def _require_qubit(ch):
         )
 
 
-def ldp_sup(ch, eps, n_seeds=128):
-    """Supremum of the certification norm and a maximizing direction u."""
-    _require_qubit(ch)
-    if eps < 0:
-        raise InvalidBudgetError(f"privacy budget must be >= 0, got {eps}")
-    g = float(np.exp(eps))
-    A, c = ch.A, ch.c
-
-    if np.linalg.norm(c) == 0.0:
-        u_mat, s, _ = np.linalg.svd(A)
-        return (1.0 + g) * float(s[0]), u_mat[:, 0]
-
-    u_mat, s, _ = np.linalg.svd(A)
-    extra = [u_mat[:, 0], -u_mat[:, 0], -c, c]
-    seeds = seed_directions(3, n_seeds, extra=extra)
+def sup_objective(A, c, g):
+    """The certification objective (1 + g) ||A^T u|| + (1 - g) c^T u with
+    g = e^eps, as the pair (value, gradient) of functions on a (k, 3) batch
+    of unit rows U, returning shape (k,) and (k, 3)."""
 
     def value(U):
         return (1.0 + g) * np.linalg.norm(U @ A, axis=1) + (1.0 - g) * (U @ c)
@@ -78,8 +67,24 @@ def ldp_sup(ch, eps, n_seeds=128):
         atu = atu / np.where(norms > 0, norms, 1.0)
         return (1.0 + g) * atu @ A.T + (1.0 - g) * c
 
-    best, u = maximize_convex_on_sphere(value, gradient, seeds)
-    return best, u
+    return value, gradient
+
+
+def ldp_sup(ch, eps, n_seeds=128):
+    """Supremum of the certification norm and a maximizing direction u."""
+    _require_qubit(ch)
+    check_budget(eps)
+    g = float(np.exp(eps))
+    A, c = ch.A, ch.c
+
+    u_mat, s, _ = np.linalg.svd(A)
+    if np.linalg.norm(c) == 0.0:
+        return (1.0 + g) * float(s[0]), u_mat[:, 0]
+
+    extra = [u_mat[:, 0], -u_mat[:, 0], -c, c]
+    seeds = seed_directions(3, n_seeds, extra=extra)
+    value, gradient = sup_objective(A, c, g)
+    return maximize_convex_on_sphere(value, gradient, seeds)
 
 
 def _margin(ch, eps, u):
@@ -173,13 +178,13 @@ class AuditResult:
 def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
     """Hockey-stick sampling audit (the only qudit-capable check).
 
-    Draws n state pairs uniformly from the valid set, pushes them through
-    the channel, and evaluates E_{e^eps} on the outputs. Can refute LDP
-    (max divergence > 1e-9) but never prove it. `extra_pairs` lets a
-    caller drive the audit toward suspected witnesses.
+    Draws n state pairs with `bloch.random_bloch_vector` (uniform over the
+    valid set for d <= 3, the Hilbert-Schmidt ensemble for d >= 4), pushes
+    them through the channel, and evaluates E_{e^eps} on the outputs. Can
+    refute LDP (max divergence > 1e-9) but never prove it. `extra_pairs`
+    lets a caller drive the audit toward suspected witnesses.
     """
-    if eps < 0:
-        raise InvalidBudgetError(f"privacy budget must be >= 0, got {eps}")
+    check_budget(eps)
     rng = np.random.default_rng(seed)
     gamma = float(np.exp(eps))
     pairs_w = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, channels, ldp, qfi as qfi_mod
-from .exceptions import InvalidBudgetError, UnsupportedDimensionError
+from .exceptions import InvalidBudgetError, UnsupportedDimensionError, check_budget
 
 PENALTY = 1e6
 MARGIN_TARGET = 0.5e-9
@@ -60,29 +60,24 @@ class _WarmMargin:
         self.U = U / np.linalg.norm(U, axis=1, keepdims=True)
 
     def __call__(self, A, c):
-        g = self.g
+        value, gradient = ldp.sup_objective(A, c, self.g)
         U = self.U
         for _ in range(self.iters):
-            atu = U @ A
-            norms = np.linalg.norm(atu, axis=1, keepdims=True)
-            grad = (1.0 + g) * (atu / np.where(norms > 0, norms, 1.0)) @ A.T \
-                + (1.0 - g) * c
+            grad = gradient(U)
             gn = np.linalg.norm(grad, axis=1, keepdims=True)
             U = np.where(gn > 0, grad / np.where(gn > 0, gn, 1.0), U)
         self.U = U
-        vals = (1.0 + g) * np.linalg.norm(U @ A, axis=1) + (1.0 - g) * (U @ c)
-        sup = float(np.max(vals))
-        return sup - (g - 1.0)
+        sup = float(np.max(value(U)))
+        return sup - (self.g - 1.0)
 
 
 def _qfi_of(A, c, w, dw):
+    """Output QFI of the channel (A, c), or -inf when the output state
+    leaves the open Bloch ball."""
     wbar = A @ w + c
-    dwbar = A @ dw
-    r2 = float(wbar @ wbar)
-    if r2 >= 1.0:
+    if float(wbar @ wbar) >= 1.0:
         return -np.inf
-    inner = float(wbar @ dwbar)
-    return float(dwbar @ dwbar) + inner * inner / (1.0 - r2)
+    return qfi_mod.qfi_qubit(wbar, A @ dw).value
 
 
 def _restore_feasibility(x, center, eps, c_zero, n=3):
@@ -127,6 +122,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     """
     if fam.d != 2:
         raise UnsupportedDimensionError("channel search is qubit-only")
+    check_budget(eps)
     if eps <= 0:
         raise InvalidBudgetError(f"eps must be > 0, got {eps}")
     w = np.asarray(fam.omega_of(lam), dtype=float)

@@ -240,8 +240,9 @@ def _is_csv(path):
 
 
 def family_by_name(name, d=2, **kwargs):
-    """Look up a built-in family: radial, rotation, scaled-rotation,
-    axis-<k>, or a table file path."""
+    """Look up a built-in family by name: radial, rotation,
+    scaled-rotation, or axis-<k> (1-based) at dimension d. Table families
+    are built with `table_family(path)`."""
     if name == "radial":
         return radial_family()
     if name == "rotation":

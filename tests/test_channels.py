@@ -63,8 +63,9 @@ def test_depolarizing_qutrit_shrink():
 
 
 def test_depolarizing_rejects_negative_budget():
-    with pytest.raises(InvalidBudgetError):
-        depolarizing(2, -0.1)
+    for eps in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidBudgetError):
+            depolarizing(2, eps)
 
 
 def test_image_radius_examples():

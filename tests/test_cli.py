@@ -121,15 +121,45 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
                       "--lambda", "0.6", "--alpha", "0.01",
                       "--eps-grid", "0.5:0.1:20")
     assert code == 3
+    for argv in (["certify", "--depolarizing"],
+                 ["bounds", "--family", "radial", "--lambda", "0.6",
+                  "--alpha", "0.01"],
+                 ["audit", "--depolarizing", "--n", "5"],
+                 ["simulate", "--family", "radial", "--lambda0", "0.6",
+                  "--trials", "10"]):
+        code, out = run_cli(capsys, *argv, "--eps", "nan")
+        assert (code, out) == (3, "")
 
 
 def test_unknown_flag_rejected():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qldp.cli", "qfi", "--family", "radial",
-         "--lambda", "0.6", "--frobnicate"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2  # argparse usage error
-    assert "unrecognized" in proc.stderr
+    # --seed is offered only by the subcommands that read it
+    for flag in (["--frobnicate"], ["--seed", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qldp.cli", "qfi", "--family", "radial",
+             "--lambda", "0.6", *flag],
+            capture_output=True, text=True)
+        assert proc.returncode == 2  # argparse usage error
+        assert "unrecognized" in proc.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_undefined_bounds_are_null(capsys):
+    # <dw, w> = 0 on the rotation family: C1 and everything built on it
+    code, out = run_cli(capsys, "bounds", "--family", "rotation",
+                        "--lambda", "0.3", "--alpha", "0.01", "--eps", "0.5")
+    assert code == 0
+    res = json.loads(out, parse_constant=_reject_constant)["result"]
+    for key in ("C1", "N_lower", "N_lower_real", "fisher_cap"):
+        assert res[key] is None
+    code, out = run_cli(capsys, "scaling", "--family", "rotation",
+                        "--lambda", "0.3", "--alpha", "0.01",
+                        "--eps-grid", "0.1:0.5:3")
+    assert code == 0
+    rows = list(csv.reader(out.strip().split("\n")))
+    assert [(r[1], r[3]) for r in rows[1:]] == [("", "")] * 3
 
 
 def test_scaling_csv_and_upper_slope(capsys):
@@ -186,6 +216,11 @@ def test_config_file_with_flag_precedence(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["alpha"] == 0.02  # flag wins over config file
+    cfg.write_text(json.dumps({"trials": 7}))
+    code, out = run_cli(capsys, "--config", str(cfg), "simulate",
+                        "--family", "radial", "--lambda0", "0.6", "--eps", "1.0")
+    assert code == 0
+    assert json.loads(out)["result"]["n_trials"] == 7  # reaches the subcommand
 
 
 def test_report_bundle(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qldp import bloch
 from qldp.divergence import hockey_stick, hockey_stick_qubit, trace_norm
@@ -91,6 +91,8 @@ def test_rejects_dimension_mismatch():
     g1=st.floats(1.0, 5.0),
     g2=st.floats(1.0, 5.0),
 )
+# eigvalsh rounds this zero divergence to -1.1e-15 before clamping
+@example(seed=1754, g1=1.0, g2=4.3984375)
 def test_monotone_in_gamma_and_bounded_by_trace_distance(seed, g1, g2):
     rng = np.random.default_rng(seed)
     rho = bloch.to_density(bloch.random_bloch_vector(2, rng))

@@ -3,8 +3,14 @@ import pytest
 
 from conftest import random_qubit_channel
 from qldp import channels, ldp
+from qldp.bounds import bounds_thm1
 from qldp.channels import AffineChannel, depolarizing
-from qldp.exceptions import DivergedError, UnsupportedDimensionError
+from qldp.exceptions import (
+    DivergedError,
+    InvalidBudgetError,
+    UnsupportedDimensionError,
+)
+from qldp.qfi import radial_family
 from qldp.ldp import (
     audit_by_sampling,
     certify,
@@ -104,6 +110,17 @@ def test_tight_epsilon_constant_channel_is_zero():
 def test_tight_epsilon_diverges_for_identity():
     with pytest.raises(DivergedError):
         tight_epsilon(channels.identity_channel(2))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda eps: certify(AffineChannel(2, 0.3 * np.eye(3), np.full(3, 0.1)), eps),
+    lambda eps: audit_by_sampling(depolarizing(3, 1.0), eps, 5, seed=0),
+    lambda eps: bounds_thm1(radial_family(), 0.6, 0.01, eps),
+], ids=["certify", "audit_by_sampling", "bounds_thm1"])
+def test_non_finite_budget_rejected(call, eps):
+    with pytest.raises(InvalidBudgetError):
+        call(eps)
 
 
 def test_audit_refutes_identity_channel():

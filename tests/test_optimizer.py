@@ -73,8 +73,9 @@ def test_more_starts_never_worse():
 
 
 def test_rejects_bad_inputs():
-    with pytest.raises(InvalidBudgetError):
-        maximize_qfi(radial_family(), 0.6, 0.0, starts=2)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidBudgetError):
+            maximize_qfi(radial_family(), 0.6, eps, starts=2)
     with pytest.raises(UnsupportedDimensionError):
         maximize_qfi(family_by_name("axis-1", d=3), 0.3, 1.0, starts=2)
 
