@@ -14,6 +14,7 @@ import numpy as np
 from . import qfi as qfi_mod
 from .exceptions import (
     InvalidBiasError,
+    InvalidInputError,
     OutOfRegimeError,
     UnsupportedDimensionError,
     check_budget,
@@ -41,21 +42,7 @@ class BoundsReport:
     notes: str = ""
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "eps": self.eps,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C1_bar": self.C1_bar,
-            "N_lower": self.N_lower,
-            "N_upper": self.N_upper,
-            "N_lower_real": self.N_lower_real,
-            "N_upper_real": self.N_upper_real,
-            "fisher_cap": self.fisher_cap,
-            "regime_flags": sorted(self.regime_flags),
-            "bias": self.bias,
-            "notes": self.notes,
-        }
+        return dict(vars(self), regime_flags=sorted(self.regime_flags))
 
 
 def _geometry(fam, lam):
@@ -63,9 +50,35 @@ def _geometry(fam, lam):
         raise UnsupportedDimensionError(
             "qubit bound calculators require d=2; see qudit_upper_bound"
         )
-    w = np.asarray(fam.omega_of(lam), dtype=float)
-    dw = fam.derivative(lam)
-    return w, dw
+    return fam.point(lam)
+
+
+def _check_regime(alpha, eps):
+    """The input boundary of every count: alpha and eps finite
+    (InvalidInputError, InvalidBudgetError), alpha > 0 and eps > 0
+    (OutOfRegimeError)."""
+    if not math.isfinite(alpha):
+        raise InvalidInputError(f"alpha must be finite, got {alpha}")
+    if alpha <= 0.0:
+        raise OutOfRegimeError(f"alpha must be > 0, got {alpha}")
+    check_budget(eps)
+    if eps == 0.0:
+        raise OutOfRegimeError("bounds diverge at eps = 0 (no information flow)")
+
+
+def _finite(x):
+    """x, or OutOfRegimeError when it is infinite or NaN: at extreme budgets
+    e^eps - 1 or eps^2 under- or overflows and no bound is meaningful."""
+    if not np.isfinite(x):
+        raise OutOfRegimeError(
+            "bound is not finite in double precision at this budget")
+    return x
+
+
+def _count(numerator, denominator):
+    """numerator / denominator as a finite bound (see `_finite`)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(_finite(numerator / np.float64(denominator)))
 
 
 def constants_thm1(fam, lam):
@@ -108,7 +121,8 @@ def _fisher_cap(w, dw, eps):
         )
     dd = float(dw @ dw)
     g = np.exp(eps)
-    return 4.0 * (g - 1.0) ** 2 * dd * (1.0 + dd / (16.0 * inner * inner))
+    cap = 4.0 * (g - 1.0) ** 2 * dd * (1.0 + dd / (16.0 * inner * inner))
+    return _finite(cap)
 
 
 def fisher_cap_thm2(fam, lam, eps):
@@ -121,7 +135,7 @@ def fisher_cap_thm2(fam, lam, eps):
         )
     nd = float(np.linalg.norm(dw))
     g = np.exp(eps)
-    return (g - 1.0) ** 2 * nd * (nd + 1.0 / THM2_DENOM)
+    return _finite((g - 1.0) ** 2 * nd * (nd + 1.0 / THM2_DENOM))
 
 
 def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
@@ -129,17 +143,13 @@ def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
     N_lower = C1 (1-b)^2 / (alpha (e^eps - 1)^2),
     N_upper = C2 (e^eps + 1)^2 / (alpha (e^eps - 1)^2).
     N_lower, N_lower_real and fisher_cap are None with C1."""
-    if alpha <= 0.0:
-        raise OutOfRegimeError(f"alpha must be > 0, got {alpha}")
-    check_budget(eps)
-    if eps == 0.0:
-        raise OutOfRegimeError("bounds diverge at eps = 0 (no information flow)")
+    _check_regime(alpha, eps)
     w, dw = _geometry(fam, lam)
     C1, C2 = _constants(w, dw)
     factor = biased_factor(bias)
     g = np.exp(eps)
     denom = alpha * (g - 1.0) ** 2
-    upper = C2 * (g + 1.0) ** 2 / denom
+    upper = _count(C2 * (g + 1.0) ** 2, denom)
     flags = {"thm1_ok"} if C1 is not None else {"inner_product_zero"}
     notes = ""
     if eps < 1.0:
@@ -151,7 +161,7 @@ def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
                  "while the upper bound saturates at C2/alpha")
     C1_bar = _c1_bar(dw)
     if C1 is not None:
-        lower = factor * C1 / denom
+        lower = _count(factor * C1, denom)
         cap = _fisher_cap(w, dw, eps)
     else:
         lower = None
@@ -182,20 +192,19 @@ def _c1_bar(dw):
 def bounds_cor1(fam, lam, alpha, eps, bias=0.0):
     """Small-budget bounds for eps in (0, 1): C1/(9 alpha eps^2) and
     C2 (e + 1)^2 / (alpha eps^2)."""
-    if not (0.0 < eps < 1.0):
+    _check_regime(alpha, eps)
+    if eps >= 1.0:
         raise OutOfRegimeError(
             f"small-budget bounds require eps in (0, 1), got {eps}"
         )
-    if alpha <= 0.0:
-        raise OutOfRegimeError(f"alpha must be > 0, got {alpha}")
     C1, C2 = constants_thm1(fam, lam)
     if C1 is None:
         raise OutOfRegimeError(
             "inner product <dw, w> = 0: small-budget lower bound undefined"
         )
     factor = biased_factor(bias)
-    lower = factor * C1 / (9.0 * alpha * eps * eps)
-    upper = C2 * (math.e + 1.0) ** 2 / (alpha * eps * eps)
+    lower = _count(factor * C1, 9.0 * alpha * eps * eps)
+    upper = _count(C2 * (math.e + 1.0) ** 2, alpha * eps * eps)
     return lower, upper
 
 
@@ -203,12 +212,11 @@ def bounds_thm2(fam, lam, alpha, eps, bias=0.0):
     """Restricted-channel (c = 0) bounds for eps in (0, 1/2):
     C1_bar / (alpha (e^eps - 1)^2) and C2 (sqrt(e) + 1)^2 / (alpha eps^2).
     Valid for pure families (no inner-product assumption)."""
-    if not (0.0 < eps < 0.5):
+    _check_regime(alpha, eps)
+    if eps >= 0.5:
         raise OutOfRegimeError(
             f"restricted-channel bounds require eps in (0, 1/2), got {eps}"
         )
-    if alpha <= 0.0:
-        raise OutOfRegimeError(f"alpha must be > 0, got {alpha}")
     w, dw = _geometry(fam, lam)
     dd = float(dw @ dw)
     if dd == 0.0:
@@ -216,8 +224,8 @@ def bounds_thm2(fam, lam, alpha, eps, bias=0.0):
     factor = biased_factor(bias)
     C1_bar = _c1_bar(dw)
     g = np.exp(eps)
-    lower = factor * C1_bar / (alpha * (g - 1.0) ** 2)
-    upper = (1.0 / dd) * (SQRT_E + 1.0) ** 2 / (alpha * eps * eps)
+    lower = _count(factor * C1_bar, alpha * (g - 1.0) ** 2)
+    upper = _count((1.0 / dd) * (SQRT_E + 1.0) ** 2, alpha * eps * eps)
     return lower, upper
 
 
@@ -228,17 +236,13 @@ def qudit_upper_bound(fam, lam, alpha, eps, d=None):
     F ~= (1-p)^2 (d/2) ||dw||^2 with p = d/(d - 1 + e^eps) (valid for
     eps << 1/d); N_exact uses the exact qudit QFI of the depolarized
     family. Both are ceil(1 / (alpha F))."""
-    if alpha <= 0.0:
-        raise OutOfRegimeError(f"alpha must be > 0, got {alpha}")
-    if eps <= 0.0:
-        raise OutOfRegimeError(f"eps must be > 0, got {eps}")
+    _check_regime(alpha, eps)
     d = fam.d if d is None else d
-    w = np.asarray(fam.omega_of(lam), dtype=float)
-    dw = fam.derivative(lam)
+    w, dw = fam.point(lam)
     p = d / (d - 1.0 + np.exp(eps))
     shrink = 1.0 - p
     f_asym = shrink ** 2 * (d / 2.0) * float(dw @ dw)
     f_exact = qfi_mod.qfi_qudit(d, shrink * w, shrink * dw).value
-    n_asym = int(math.ceil(1.0 / (alpha * f_asym)))
-    n_exact = int(math.ceil(1.0 / (alpha * f_exact)))
+    n_asym = int(math.ceil(_count(1.0, alpha * f_asym)))
+    n_exact = int(math.ceil(_count(1.0, alpha * f_exact)))
     return n_asym, n_exact

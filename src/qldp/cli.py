@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 2 mathematically out of regime (e.g. the small-budget
 bounds with eps >= 1), 3 malformed input. Every JSON artifact embeds the
-run configuration and the schema tag "qldp/1"; floats are printed with 17
-significant digits for bit-faithful round trips.
+run configuration and the schema tag "qldp/1" and is strict JSON: floats are
+written as their shortest round-trip repr, undefined values as null, and
+NaN or infinity never. CSV floats are written with 17 significant digits
+and undefined values as empty fields; both round-trip bit-exactly.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -18,31 +21,18 @@ import numpy as np
 from . import bounds, channels, divergence, estimation, ldp
 from . import optimizer as opt_mod
 from . import qfi as qfi_mod
-from .exceptions import OutOfRegimeError, QldpError
+from .exceptions import InvalidInputError, OutOfRegimeError, QldpError
 
 SCHEMA = "qldp/1"
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(f"{float(x):.17g}")
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return _fmt(x.tolist())
-    return x
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(args, payload):
-    artifact = {"schema": SCHEMA, "config": _config_echo(args), "result": _fmt(payload)}
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    _write(args.out, text + "\n")
+    _write(args.out, _json({"schema": SCHEMA, "config": _config_echo(args),
+                            "result": payload}))
 
 
 def _emit_csv(args, header, rows):
@@ -66,9 +56,8 @@ def _config_echo(args):
     # output destinations are I/O plumbing, not run configuration: omitting
     # them keeps artifacts byte-identical across reruns to different paths
     skip = {"func", "out", "out_dir"}
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in skip and v is not None}
-    return _fmt(cfg)
+    return {k: v for k, v in vars(args).items()
+            if k not in skip and v is not None}
 
 
 def _parse_grid(spec):
@@ -78,8 +67,8 @@ def _parse_grid(spec):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise QldpError(f"bad grid spec {spec!r}; expected lo:hi:n") from exc
-    if lo <= 0 or hi <= lo or n < 2:
-        raise QldpError(f"bad grid spec {spec!r}: need 0 < lo < hi and n >= 2")
+    if not 0 < lo < hi < math.inf or n < 2:
+        raise QldpError(f"bad grid spec {spec!r}: need 0 < lo < hi < inf, n >= 2")
     return np.geomspace(lo, hi, n)
 
 
@@ -159,17 +148,12 @@ def cmd_divergence(args):
 def cmd_bounds(args):
     fam = _get_family(args)
     bias = args.bias or 0.0
-    if args.corollary1:
-        lower, upper = bounds.bounds_cor1(fam, args.lam, args.alpha, args.eps,
-                                          bias=bias)
+    if args.corollary1 or args.thm2:
+        which, calc = (("corollary1", bounds.bounds_cor1) if args.corollary1
+                       else ("restricted-c0", bounds.bounds_thm2))
+        lower, upper = calc(fam, args.lam, args.alpha, args.eps, bias=bias)
         _emit(args, {"N_lower_real": lower, "N_upper_real": upper,
-                     "which": "corollary1"})
-        return 0
-    if args.thm2:
-        lower, upper = bounds.bounds_thm2(fam, args.lam, args.alpha, args.eps,
-                                          bias=bias)
-        _emit(args, {"N_lower_real": lower, "N_upper_real": upper,
-                     "which": "restricted-c0"})
+                     "which": which})
         return 0
     report = bounds.bounds_thm1(fam, args.lam, args.alpha, args.eps, bias=bias)
     _emit(args, report.to_dict())
@@ -221,8 +205,8 @@ def cmd_optimize_sweep(args):
     grid = _parse_grid(args.eps_grid)
     results = opt_mod.sweep(fam, args.lam, grid, starts=args.starts,
                             seed=args.seed, c_zero=args.c_zero)
-    rows = [[r.eps, r.best_qfi, r.fisher_cap if r.fisher_cap else float("nan"),
-             r.cap_ratio, r.feasibility_margin] for r in results]
+    rows = [[r.eps, r.best_qfi, r.fisher_cap, r.cap_ratio,
+             r.feasibility_margin] for r in results]
     _emit_csv(args, ["eps", "best_qfi", "fisher_cap", "cap_ratio", "margin"],
               rows)
     return 0
@@ -266,8 +250,7 @@ def cmd_report(args):
         "files": ["bounds.csv", "optimizer.csv", "certification.csv",
                   "simulation.json"],
     }
-    _write(os.path.join(outdir, "manifest.json"),
-           json.dumps(_fmt(manifest), indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(outdir, "manifest.json"), _json(manifest))
     return 0
 
 
@@ -393,6 +376,8 @@ def _apply_config_file(parser, argv, args):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise QldpError(f"{args.config}: config must be a JSON object")
     # defaults set on the top-level parser never reach a subparser, so the
     # keys the chosen subcommand knows go to that subcommand's parser
     defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
@@ -404,12 +389,22 @@ def _apply_config_file(parser, argv, args):
     return parser.parse_args(argv)
 
 
+def _check_options(args):
+    """Every numeric option is finite and no integer one is negative: the
+    artifacts echo the options as strict JSON, and seeds are unsigned."""
+    for key, value in vars(args).items():
+        if (isinstance(value, float) and not math.isfinite(value)
+                or isinstance(value, int) and value < 0):
+            raise InvalidInputError(f"bad value for {key}: {value}")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, argv, args)
+        _check_options(args)
         return args.func(args)
     except OutOfRegimeError as exc:
         sys.stderr.write(f"out of regime: {exc}\n")

@@ -5,6 +5,8 @@ Batches of qubit pairs use the Bloch-vector closed form
 `hockey_stick_qubit` instead of matrices.
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import InvalidInputError
@@ -29,8 +31,8 @@ def hockey_stick(rho, sigma, gamma):
     divergence to about -1e-15, so the result is clamped at 0 as in
     `hockey_stick_qubit`.
     """
-    if gamma < 1.0:
-        raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
@@ -44,8 +46,8 @@ def hockey_stick(rho, sigma, gamma):
 def hockey_stick_qubit(w, v, gamma):
     """Closed-form qubit divergence from Bloch vectors (batched over rows):
     max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
-    if gamma < 1.0:
-        raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     diff = np.linalg.norm(w - gamma * v, axis=-1)

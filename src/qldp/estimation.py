@@ -14,6 +14,7 @@ from . import bloch, bounds, channels
 from .exceptions import InvalidInputError, RankDeficientError
 
 FULL_RANK_TOL = 1e-10
+MAX_COPIES = 2**63 - 1  # the multinomial sampler counts in int64
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,7 @@ class TrialStats:
     seed: int
 
     def to_dict(self):
-        return {
-            "n_trials": self.n_trials,
-            "n_copies": self.n_copies,
-            "empirical_mean": self.empirical_mean,
-            "empirical_mse": self.empirical_mse,
-            "crb_value": self.crb_value,
-            "fisher": self.fisher,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 def sld_measurement(rho, drho):
@@ -76,8 +69,7 @@ def sld_measurement(rho, drho):
 
 
 def _privatized_operating_point(fam, lam0, ch):
-    w = np.asarray(fam.omega_of(lam0), dtype=float)
-    dw = fam.derivative(lam0)
+    w, dw = fam.point(lam0)
     wbar = channels.apply(ch, w)
     dwbar = ch.A @ dw
     etas = bloch.generators(fam.d)
@@ -90,8 +82,9 @@ def simulate(fam, lam0, ch, n_copies, trials, seed):
     """Run `trials` independent experiments of N = n_copies SLD
     measurements on the privatized state; return empirical statistics
     of the locally unbiased estimator."""
-    if n_copies < 1 or trials < 1:
-        raise InvalidInputError("n_copies and trials must be >= 1")
+    if not (1 <= n_copies <= MAX_COPIES and trials >= 1):
+        raise InvalidInputError(
+            f"need 1 <= n_copies <= {MAX_COPIES} and trials >= 1")
     rho, drho = _privatized_operating_point(fam, lam0, ch)
     meas = sld_measurement(rho, drho)
     fisher = meas.fisher

@@ -4,8 +4,6 @@ All inherit from ValueError so callers that only care about "bad input"
 can catch one base class.
 """
 
-import math
-
 
 class QldpError(ValueError):
     """Base class for all package-specific errors."""
@@ -32,14 +30,18 @@ class InvalidInputError(QldpError):
 
 
 class InvalidBudgetError(QldpError):
-    """Privacy budget eps is negative, NaN or infinite."""
+    """Privacy budget eps is negative, NaN or above MAX_BUDGET."""
+
+
+# e^(2 eps) < 1e261: the formulas that square e^eps stay finite
+MAX_BUDGET = 300.0
 
 
 def check_budget(eps):
-    """Raise InvalidBudgetError unless eps is a finite number >= 0."""
-    if not (math.isfinite(eps) and eps >= 0):
+    """Raise InvalidBudgetError unless 0 <= eps <= MAX_BUDGET."""
+    if not 0 <= eps <= MAX_BUDGET:
         raise InvalidBudgetError(
-            f"privacy budget must be a finite number >= 0, got {eps}"
+            f"privacy budget must be a number in [0, {MAX_BUDGET}], got {eps}"
         )
 
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, channels, divergence
-from .exceptions import DivergedError, UnsupportedDimensionError, check_budget
+from .exceptions import (
+    DivergedError,
+    InvalidInputError,
+    UnsupportedDimensionError,
+    check_budget,
+)
 from .sphere import maximize_convex_on_sphere, seed_directions
 
 MARGIN_TOL = 1e-9
@@ -185,6 +190,8 @@ def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
     lets a caller drive the audit toward suspected witnesses.
     """
     check_budget(eps)
+    if n < 1:
+        raise InvalidInputError(f"the audit needs n >= 1 pairs, got {n}")
     rng = np.random.default_rng(seed)
     gamma = float(np.exp(eps))
     pairs_w = []

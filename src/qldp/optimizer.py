@@ -23,7 +23,7 @@ class ChannelSearchResult:
     best_channel: channels.AffineChannel
     best_qfi: float
     fisher_cap: float  # None when no cap applies
-    cap_ratio: float
+    cap_ratio: float  # None when no nonzero cap applies
     starts: int
     seed: int
     eps: float
@@ -31,17 +31,7 @@ class ChannelSearchResult:
     evaluations: int
 
     def to_dict(self):
-        return {
-            "best_channel": self.best_channel.to_dict(),
-            "best_qfi": self.best_qfi,
-            "fisher_cap": self.fisher_cap,
-            "cap_ratio": self.cap_ratio,
-            "starts": self.starts,
-            "seed": self.seed,
-            "eps": self.eps,
-            "feasibility_margin": self.feasibility_margin,
-            "evaluations": self.evaluations,
-        }
+        return dict(vars(self), best_channel=self.best_channel.to_dict())
 
 
 class _WarmMargin:
@@ -125,8 +115,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     check_budget(eps)
     if eps <= 0:
         raise InvalidBudgetError(f"eps must be > 0, got {eps}")
-    w = np.asarray(fam.omega_of(lam), dtype=float)
-    dw = fam.derivative(lam)
+    w, dw = fam.point(lam)
     g = float(np.exp(eps))
     shrink = (g - 1.0) / (g + 1.0)  # depolarizing 1 - p at this budget
     n = 3
@@ -214,12 +203,11 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         cap = bounds.fisher_cap_thm1(fam, lam, eps)
     elif c_zero and 0.0 < eps < 0.5:
         cap = bounds.fisher_cap_thm2(fam, lam, eps)
-    ratio = best_qfi / cap if cap else float("nan")
     return ChannelSearchResult(
         best_channel=ch,
         best_qfi=float(best_qfi),
         fisher_cap=cap,
-        cap_ratio=float(ratio),
+        cap_ratio=float(best_qfi / cap) if cap else None,
         starts=int(starts),
         seed=int(seed),
         eps=float(eps),

@@ -7,7 +7,8 @@ Three routes are provided and cross-checked in the tests:
 """
 
 from dataclasses import dataclass
-import threading
+from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -43,10 +44,17 @@ class StateFamily:
     label: str = ""
     domain: tuple = (-np.inf, np.inf)
 
-    def derivative(self, lam, h=1e-5):
+    def point(self, lam):
+        """(w, dw) at lam: the one place a family is evaluated. Raises
+        InvalidInputError for a non-finite lam and NotAStateError when w
+        leaves the state body (the pure boundary is a state)."""
+        if not math.isfinite(lam):
+            raise InvalidInputError(f"lambda must be finite, got {lam}")
+        w = np.asarray(self.omega_of(lam), dtype=float)
+        bloch.to_density(w, self.d)
         if self.d_omega_of is not None:
-            return np.asarray(self.d_omega_of(lam), dtype=float)
-        return family_derivative(self, lam, h)
+            return w, np.asarray(self.d_omega_of(lam), dtype=float)
+        return w, family_derivative(self, lam)
 
 
 def family_derivative(fam, lam, h=1e-5):
@@ -76,22 +84,16 @@ def qfi_qubit(w, dw):
     return QfiResult(value=dd + inner * inner / (1.0 - r * r), branch="interior")
 
 
-_anticomm_cache = {}
-_anticomm_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def anticommutator_coefficients(d):
     """Cached tensor T[i,j,k] = (1/4) trace((eta_i eta_j + eta_j eta_i) eta_k),
-    computed numerically from the generators."""
-    with _anticomm_lock:
-        if d not in _anticomm_cache:
-            etas = np.asarray(bloch.generators(d))
-            prod = np.einsum("iab,jbc->ijac", etas, etas)
-            anti = prod + np.transpose(prod, (1, 0, 2, 3))
-            T = 0.25 * np.real(np.einsum("ijab,kba->ijk", anti, etas))
-            T.setflags(write=False)
-            _anticomm_cache[d] = T
-    return _anticomm_cache[d]
+    computed numerically from the generators. Read-only."""
+    etas = np.asarray(bloch.generators(d))
+    prod = np.einsum("iab,jbc->ijac", etas, etas)
+    anti = prod + np.transpose(prod, (1, 0, 2, 3))
+    T = 0.25 * np.real(np.einsum("ijab,kba->ijk", anti, etas))
+    T.setflags(write=False)
+    return T
 
 
 def information_matrix(d, w):
@@ -149,10 +151,9 @@ def qfi_sld_oracle(rho, drho):
     return float(np.sum(vals))
 
 
-def qfi_family(fam, lam, h=1e-5):
+def qfi_family(fam, lam):
     """QFI of a state family at a parameter value, by dimension dispatch."""
-    w = np.asarray(fam.omega_of(lam), dtype=float)
-    dw = fam.derivative(lam, h)
+    w, dw = fam.point(lam)
     if fam.d == 2:
         return qfi_qubit(w, dw)
     return qfi_qudit(fam.d, w, dw)

@@ -14,7 +14,12 @@ from qldp.bounds import (
     fisher_cap_thm2,
     qudit_upper_bound,
 )
-from qldp.exceptions import InvalidBiasError, OutOfRegimeError
+from qldp.exceptions import (
+    InvalidBiasError,
+    InvalidInputError,
+    NotAStateError,
+    OutOfRegimeError,
+)
 from qldp.qfi import family_by_name, qfi_qubit, radial_family, rotation_family
 
 
@@ -257,3 +262,38 @@ def test_achievability_cross_check(rng):
         w, dw = fam.omega_of(0.6), fam.d_omega_of(0.6)
         f = qfi_qubit(ch.A @ w, ch.A @ dw).value
         assert 1.0 / (alpha * f) <= rep.N_upper_real * (1.0 + 1e-9)
+
+
+COUNTS = {
+    "thm1": lambda alpha, eps: bounds_thm1(radial_family(), 0.6, alpha, eps),
+    "cor1": lambda alpha, eps: bounds_cor1(radial_family(), 0.6, alpha, eps),
+    "thm2": lambda alpha, eps: bounds_thm2(radial_family(), 0.6, alpha, eps),
+    "qudit": lambda alpha, eps: bounds.qudit_upper_bound(
+        family_by_name("axis-1", d=3), 0.2, alpha, eps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_alpha_checked_once(name):
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidInputError):
+            COUNTS[name](alpha, 0.3)
+    for alpha in (0.0, -0.01):
+        with pytest.raises(OutOfRegimeError):
+            COUNTS[name](alpha, 0.3)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_non_finite_count_is_out_of_regime(name):
+    # e^eps - 1 and eps^2 underflow to 0 at eps = 1e-300, and a tiny alpha
+    # drives the count past the largest double
+    for alpha, eps in ((0.01, 1e-300), (1e-300, 1e-8)):
+        with pytest.raises(OutOfRegimeError):
+            COUNTS[name](alpha, eps)
+
+
+def test_lambda_outside_the_state_body_rejected():
+    with pytest.raises(NotAStateError):
+        bounds_thm1(radial_family(), 1.5, 0.01, 0.3)
+    with pytest.raises(InvalidInputError):
+        bounds_thm1(radial_family(), float("nan"), 0.01, 0.3)

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+from pathlib import Path
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qldp import channels
 from qldp.cli import main
@@ -129,6 +134,32 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
                   "--trials", "10"]):
         code, out = run_cli(capsys, *argv, "--eps", "nan")
         assert (code, out) == (3, "")
+    rho = density_file(tmp_path, "rho.json", np.diag([0.9, 0.1]))
+    bounds = ["bounds", "--family", "radial", "--alpha", "0.01", "--eps", "0.3"]
+    for argv in (["qfi", "--family", "radial", "--lambda", "nan"],
+                 ["qfi", "--family", "axis-8", "--dim", "3", "--lambda", "0.9"],
+                 bounds + ["--lambda", "nan"], bounds + ["--lambda", "1.5"],
+                 bounds + ["--lambda", "0.6", "--alpha", "nan"],
+                 bounds + ["--lambda", "0.6", "--alpha", "inf"],
+                 ["simulate", "--family", "radial", "--lambda0", "nan",
+                  "--eps", "0.5"],
+                 ["simulate", "--family", "radial", "--lambda0", "1.5",
+                  "--eps", "0.5"],
+                 ["optimize", "--family", "radial", "--lambda", "nan",
+                  "--eps", "0.5"],
+                 ["optimize", "--family", "radial", "--lambda", "1.5",
+                  "--eps", "0.5"],
+                 ["divergence", "--gamma", "nan", "--rho", rho, "--sigma", rho],
+                 ["audit", "--depolarizing", "--eps", "1", "--n", "0"],
+                 ["audit", "--depolarizing", "--eps", "1", "--seed", "-1"],
+                 ["simulate", "--family", "radial", "--lambda0", "0.6",
+                  "--eps", "0.5", "--n", "5", "--trials", "5",
+                  "--alpha", "nan"]):
+        assert run_cli(capsys, *argv) == (3, "")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")  # a config must be a JSON object
+    assert run_cli(capsys, "--config", str(cfg), "qfi", "--family", "radial",
+                   "--lambda", "0.6") == (3, "")
 
 
 def test_unknown_flag_rejected():
@@ -160,6 +191,18 @@ def test_undefined_bounds_are_null(capsys):
     assert code == 0
     rows = list(csv.reader(out.strip().split("\n")))
     assert [(r[1], r[3]) for r in rows[1:]] == [("", "")] * 3
+    # no cap applies to the rotation family without --c-zero
+    code, out = run_cli(capsys, "optimize", "--family", "rotation",
+                        "--lambda", "0.3", "--eps", "0.6", "--starts", "2")
+    assert code == 0
+    res = json.loads(out, parse_constant=_reject_constant)["result"]
+    assert res["fisher_cap"] is None and res["cap_ratio"] is None
+    code, out = run_cli(capsys, "optimize-sweep", "--family", "rotation",
+                        "--lambda", "0.3", "--eps-grid", "0.1:1:2",
+                        "--starts", "1")
+    assert code == 0
+    rows = list(csv.reader(out.strip().split("\n")))
+    assert [(r[2], r[3]) for r in rows[1:]] == [("", "")] * 2
 
 
 def test_scaling_csv_and_upper_slope(capsys):
@@ -255,3 +298,101 @@ def test_report_rerun_byte_identical(capsys, tmp_path):
     for name in ("bounds.csv", "optimizer.csv", "certification.csv",
                  "simulation.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_extreme_budget_is_out_of_regime(capsys):
+    # e^eps - 1 and eps^2 underflow at eps = 1e-300: no count is finite
+    bounds = ["bounds", "--family", "radial", "--lambda", "0.6",
+              "--alpha", "0.01", "--eps", "1e-300"]
+    for argv in (bounds, bounds + ["--corollary1"], bounds + ["--thm2"],
+                 ["scaling", "--family", "radial", "--lambda", "0.6",
+                  "--alpha", "0.01", "--eps-grid", "1e-300:1e-200:3"]):
+        assert run_cli(capsys, *argv) == (2, "")
+
+
+# every float draw mixes plausible values with NaN, infinities, subnormals
+# and the extremes of double precision
+REALS = st.one_of(st.floats(0.01, 1.5), st.floats(-2.0, 2.0), st.floats())
+COUNTS = st.integers(-1, 3)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _maybe(*options):
+    return st.one_of(st.just([]), *options)
+
+
+FAMILY = _flag("family", st.sampled_from(
+    ["radial", "rotation", "scaled-rotation", "axis-1", "axis-3"]))
+DIM = _flag("dim", st.integers(-1, 4))
+LAMBDA, ALPHA, EPS = (_flag(name, REALS) for name in ("lambda", "alpha", "eps"))
+GRID = _flag("eps-grid", st.one_of(
+    st.builds("{!r}:{!r}:{}".format, REALS, REALS, st.integers(1, 3)),
+    st.builds(lambda lo, n: f"{lo!r}:{10 * lo!r}:{n}", REALS,
+              st.integers(2, 3))))
+STARTS, SEED, N, TRIALS = (_flag(name, COUNTS)
+                           for name in ("starts", "seed", "n", "trials"))
+SOURCE = st.sampled_from([["--channel={channel}"], ["--depolarizing"]])
+
+# subcommand -> option groups; files are {channel}, {rho}, {sigma}, {bundle}
+COMMANDS = {
+    "qfi": [FAMILY, DIM, LAMBDA],
+    "certify": [SOURCE, EPS, _maybe(_flag("at-eps", REALS)), DIM],
+    "tighteps": [st.just(["--channel={channel}"])],
+    "audit": [SOURCE, EPS, N, DIM, SEED],
+    "divergence": [_flag("gamma", REALS), st.just(["--rho={rho}",
+                                                   "--sigma={sigma}"])],
+    "bounds": [FAMILY, DIM, LAMBDA, ALPHA, EPS, _maybe(_flag("bias", REALS)),
+               _maybe(st.just(["--corollary1"]), st.just(["--thm2"]))],
+    "scaling": [FAMILY, LAMBDA, ALPHA, GRID],
+    "simulate": [FAMILY, _flag("lambda0", REALS), EPS, ALPHA, TRIALS, SEED,
+                 _maybe(N, st.just(["--channel={channel}", "--n=3"]))],
+    "optimize": [FAMILY, LAMBDA, EPS, STARTS, SEED,
+                 _maybe(st.just(["--c-zero"]))],
+    "optimize-sweep": [FAMILY, LAMBDA, GRID, STARTS],
+    "report": [FAMILY, LAMBDA, ALPHA, GRID, STARTS, TRIALS,
+               st.just(["--out-dir={bundle}"])],
+}
+ARGVS = st.sampled_from(sorted(COMMANDS)).flatmap(
+    lambda cmd: st.tuples(*COMMANDS[cmd]).map(
+        lambda groups: [cmd] + [t for g in groups for t in g]))
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    channel = str(tmp / "chan.json")
+    channels.AffineChannel(2, np.diag([0.5, 0.3, 0.2]),
+                           np.array([0.1, 0.05, 0.0])).save(channel)
+    return {"channel": channel,
+            "rho": density_file(tmp, "rho.json", np.diag([0.9, 0.1])),
+            "sigma": density_file(tmp, "sigma.json",
+                                  [[0.5, 0.2j], [-0.2j, 0.5]])}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=ARGVS)
+def test_every_subcommand_keeps_exit_and_output_contract(argv, cli_files):
+    with tempfile.TemporaryDirectory() as bundle:
+        argv = [t.format(bundle=bundle, **cli_files) for t in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out = out.getvalue()
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        if code != 0:
+            assert out == "", argv
+            return
+        texts = ([p.read_text() for p in sorted(Path(bundle).iterdir())]
+                 if argv[0] == "report" else [out])
+    for text in texts:
+        if argv[0] == "divergence":
+            assert math.isfinite(float(text)), argv
+        elif text.startswith("{"):
+            json.loads(text, parse_constant=_reject_constant)
+        else:
+            for row in csv.reader(io.StringIO(text)):
+                assert not {f.lower() for f in row} & {"nan", "inf", "-inf"}, \
+                    argv

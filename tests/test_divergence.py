@@ -76,8 +76,11 @@ def test_qubit_closed_form_agrees_with_generic_path(rng):
 
 def test_rejects_gamma_below_one():
     rho = np.eye(2) / 2
-    with pytest.raises(InvalidInputError):
-        hockey_stick(rho, rho, 0.5)
+    for gamma in (0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            hockey_stick(rho, rho, gamma)
+        with pytest.raises(InvalidInputError):
+            hockey_stick_qubit(np.zeros(3), np.zeros(3), gamma)
 
 
 def test_rejects_dimension_mismatch():

@@ -3,14 +3,15 @@ import pytest
 
 from conftest import random_qubit_channel
 from qldp import channels, ldp
-from qldp.bounds import bounds_thm1
+from qldp.bounds import bounds_cor1, bounds_thm1, bounds_thm2, qudit_upper_bound
 from qldp.channels import AffineChannel, depolarizing
 from qldp.exceptions import (
     DivergedError,
     InvalidBudgetError,
+    InvalidInputError,
     UnsupportedDimensionError,
 )
-from qldp.qfi import radial_family
+from qldp.qfi import family_by_name, radial_family
 from qldp.ldp import (
     audit_by_sampling,
     certify,
@@ -112,15 +113,25 @@ def test_tight_epsilon_diverges_for_identity():
         tight_epsilon(channels.identity_channel(2))
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e3])
 @pytest.mark.parametrize("call", [
     lambda eps: certify(AffineChannel(2, 0.3 * np.eye(3), np.full(3, 0.1)), eps),
     lambda eps: audit_by_sampling(depolarizing(3, 1.0), eps, 5, seed=0),
     lambda eps: bounds_thm1(radial_family(), 0.6, 0.01, eps),
-], ids=["certify", "audit_by_sampling", "bounds_thm1"])
+    lambda eps: bounds_cor1(radial_family(), 0.6, 0.01, eps),
+    lambda eps: bounds_thm2(radial_family(), 0.6, 0.01, eps),
+    lambda eps: qudit_upper_bound(family_by_name("axis-1", d=3), 0.2, 0.01, eps),
+], ids=["certify", "audit_by_sampling", "bounds_thm1", "bounds_cor1",
+        "bounds_thm2", "qudit_upper_bound"])
 def test_non_finite_budget_rejected(call, eps):
+    # 1e3 is finite, but e^(2 eps) overflows: past MAX_BUDGET
     with pytest.raises(InvalidBudgetError):
         call(eps)
+
+
+def test_audit_rejects_empty_sample():
+    with pytest.raises(InvalidInputError, match="n >= 1"):
+        audit_by_sampling(depolarizing(2, 1.0), 1.0, 0, seed=0)
 
 
 def test_audit_refutes_identity_channel():

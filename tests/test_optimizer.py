@@ -3,7 +3,12 @@ import pytest
 
 from qldp import channels, ldp, optimizer
 from qldp.bounds import fisher_cap_thm1, fisher_cap_thm2
-from qldp.exceptions import InvalidBudgetError, UnsupportedDimensionError
+from qldp.exceptions import (
+    InvalidBudgetError,
+    InvalidInputError,
+    NotAStateError,
+    UnsupportedDimensionError,
+)
 from qldp.optimizer import maximize_qfi, sweep
 from qldp.qfi import family_by_name, qfi_qubit, radial_family, rotation_family
 
@@ -62,7 +67,7 @@ def test_c_zero_mode():
 def test_rotation_family_general_mode_has_no_cap():
     res = maximize_qfi(rotation_family(), 0.3, 1.0, starts=4, seed=0)
     assert res.fisher_cap is None
-    assert np.isnan(res.cap_ratio)
+    assert res.cap_ratio is None
 
 
 def test_more_starts_never_worse():
@@ -73,9 +78,13 @@ def test_more_starts_never_worse():
 
 
 def test_rejects_bad_inputs():
-    for eps in (0.0, float("nan"), float("inf")):
+    for eps in (0.0, float("nan"), float("inf"), 1e3):
         with pytest.raises(InvalidBudgetError):
             maximize_qfi(radial_family(), 0.6, eps, starts=2)
+    with pytest.raises(InvalidInputError):
+        maximize_qfi(radial_family(), float("nan"), 0.5, starts=2)
+    with pytest.raises(NotAStateError):
+        maximize_qfi(radial_family(), 1.5, 0.5, starts=2)
     with pytest.raises(UnsupportedDimensionError):
         maximize_qfi(family_by_name("axis-1", d=3), 0.3, 1.0, starts=2)
 

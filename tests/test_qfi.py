@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qldp import bloch, channels
-from qldp.exceptions import InvalidInputError, NearSingularError
+from qldp.exceptions import InvalidInputError, NearSingularError, NotAStateError
 from qldp.qfi import (
     StateFamily,
+    anticommutator_coefficients,
     family_by_name,
     family_derivative,
     qfi_family,
@@ -119,7 +120,7 @@ def test_family_derivative_rotation_at_zero():
                       omega_of=lambda lam: np.array([np.sin(lam), 0.0,
                                                      np.cos(lam)]),
                       label="rotation-numeric")
-    assert np.max(np.abs(fam.derivative(0.0) - np.array([1.0, 0.0, 0.0]))) \
+    assert np.max(np.abs(fam.point(0.0)[1] - np.array([1.0, 0.0, 0.0]))) \
         < 1e-9
 
 
@@ -196,5 +197,25 @@ def test_table_family_interpolation(tmp_path):
     np.savetxt(path, rows, delimiter=",")
     fam = table_family(path, d=2)
     assert np.max(np.abs(fam.omega_of(0.6) - np.array([0.0, 0.0, 0.6]))) < 1e-9
-    assert np.max(np.abs(fam.derivative(0.3) - np.array([0.0, 0.0, 1.0]))) \
+    assert np.max(np.abs(fam.point(0.3)[1] - np.array([0.0, 0.0, 1.0]))) \
         < 1e-6
+
+
+def test_point_is_the_family_input_boundary():
+    fam = radial_family()
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            qfi_family(fam, lam)
+    with pytest.raises(NotAStateError):
+        qfi_family(fam, 1.5)
+    with pytest.raises(NotAStateError):
+        qfi_family(family_by_name("axis-8", d=3), 0.9)
+    w, dw = fam.point(1.0)  # the pure boundary is a state
+    assert np.array_equal(w, [0.0, 0.0, 1.0]) and np.array_equal(dw, [0, 0, 1])
+    assert qfi_family(fam, 1.0).branch == "boundary"
+
+
+def test_anticommutator_coefficients_cached_and_read_only():
+    T = anticommutator_coefficients(3)
+    assert T is anticommutator_coefficients(3)
+    assert not T.flags.writeable
