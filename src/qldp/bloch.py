@@ -15,6 +15,7 @@ from .exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
+MAX_DIM = 16  # the qudit QFI's anticommutator tensor takes ~270 MB at d = 16
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -27,6 +28,13 @@ def max_radius(d):
     return float(np.sqrt(2.0 * (d - 1) / d))
 
 
+def check_dimension(d):
+    """Raise InvalidDimensionError unless d is an integer in [2, MAX_DIM]."""
+    if not isinstance(d, (int, np.integer)) or not 2 <= d <= MAX_DIM:
+        raise InvalidDimensionError(
+            f"dimension must be an integer in [2, {MAX_DIM}], got {d!r}")
+
+
 @lru_cache(maxsize=None)
 def generators(d):
     """Return the d^2 - 1 generalized Gell-Mann matrices for dimension d.
@@ -37,9 +45,7 @@ def generators(d):
 
     Returns a read-only array of shape (d^2 - 1, d, d).
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d!r}")
-
+    check_dimension(d)
     mats = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -101,18 +107,17 @@ def from_density(rho):
     return w
 
 
-def check_density(rho, trace_tol=TRACE_TOL, herm_tol=HERMITICITY_TOL,
-                  pos_tol=POSITIVITY_TOL):
+def check_density(rho):
     """Validate density-matrix invariants; raise on violation."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise InvalidInputError("matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise InvalidInputError(f"trace is {np.trace(rho).real!r}, expected 1")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < pos_tol:
+    if lo < POSITIVITY_TOL:
         raise NotAStateError(
             f"matrix has negative eigenvalue {lo:.3e}", eigenvalue=lo
         )

@@ -11,7 +11,11 @@ import json
 import numpy as np
 
 from . import bloch
-from .exceptions import InvalidInputError, UnsupportedDimensionError, check_budget
+from .exceptions import (
+    InvalidInputError,
+    UnsupportedDimensionError,
+    check_channel_budget,
+)
 from .sphere import maximize_convex_on_sphere, seed_directions
 
 CHOI_TOL = -1e-10
@@ -63,9 +67,8 @@ def identity_channel(d=2):
 def depolarizing(d, eps):
     """Depolarizing channel calibrated to budget eps: A = (1-p) I, c = 0,
     with p = d / (d - 1 + e^eps) (p = 2/(1+e^eps) for qubits)."""
-    check_budget(eps)
-    if d < 2:
-        raise InvalidInputError(f"dimension must be >= 2, got {d}")
+    check_channel_budget(eps)
+    bloch.check_dimension(d)
     p = d / (d - 1 + np.exp(eps))
     n = d * d - 1
     return AffineChannel(d=d, A=(1.0 - p) * np.eye(n), c=np.zeros(n))
@@ -82,7 +85,7 @@ def apply(ch, w):
     return w @ ch.A.T + ch.c
 
 
-def image_radius(ch, n_seeds=256):
+def image_radius(ch):
     """Maximum of ||A w + c|| over the outer ball ||w|| <= r_d.
 
     The objective is convex in w, so the maximum sits on the sphere
@@ -96,7 +99,7 @@ def image_radius(ch, n_seeds=256):
     if np.linalg.norm(c) > 0:
         atc = A.T @ c
         extra += [c, -c, atc, -atc]
-    seeds = seed_directions(A.shape[0], n_seeds, extra=extra)
+    seeds = seed_directions(A.shape[0], 256, extra=extra)
 
     def value(U):
         return np.linalg.norm(r * U @ A.T + c, axis=1)

@@ -380,13 +380,31 @@ def _apply_config_file(parser, argv, args):
         raise QldpError(f"{args.config}: config must be a JSON object")
     # defaults set on the top-level parser never reach a subparser, so the
     # keys the chosen subcommand knows go to that subcommand's parser
-    defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-    known = set(vars(args)) - {"config", "subcommand", "func"}
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    sub.choices[args.subcommand].set_defaults(
-        **{k: v for k, v in defaults.items() if k in known})
+    subparser = sub.choices[args.subcommand]
+    known = {a.dest: a for a in subparser._actions if a.dest in vars(args)}
+    defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
+    subparser.set_defaults(**{k: _config_value(known[k], v)
+                              for k, v in defaults.items() if k in known})
     return parser.parse_args(argv)
+
+
+def _config_value(action, value):
+    """A config value, checked as the option's own parser would take it: a
+    boolean for a flag, a string for a string option, a JSON number for a
+    numeric option and an integral one for an int option."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str) and value in (action.choices or [value])
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (action.type is float or isinstance(value, int)
+                   or value.is_integer()))
+    if not ok:
+        raise QldpError(f"config value {value!r} does not fit {action.dest}")
+    return int(value) if action.type is int else value
 
 
 def _check_options(args):

@@ -50,6 +50,20 @@ class OutOfRegimeError(QldpError):
     small-budget bounds with eps >= 1)."""
 
 
+# Channel checks compare quantities of size e^eps with 1e-9 margins: on the
+# calibrated depolarizing channels the audit's round-off is 1e-11 at eps = 10,
+# 6e-10 at 14 (n = 200, d = 3..5) and past its tolerance from about 15.
+MAX_CHANNEL_BUDGET = 10.0
+
+
+def check_channel_budget(eps):
+    """check_budget, then raise OutOfRegimeError above MAX_CHANNEL_BUDGET."""
+    check_budget(eps)
+    if eps > MAX_CHANNEL_BUDGET:
+        raise OutOfRegimeError(
+            f"channel budget {eps} is above {MAX_CHANNEL_BUDGET}")
+
+
 class DivergedError(QldpError):
     """A quantity is unbounded or a search failed to bracket a root."""
 

@@ -17,14 +17,14 @@ from . import bloch, channels, divergence
 from .exceptions import (
     DivergedError,
     InvalidInputError,
+    MAX_CHANNEL_BUDGET,
     UnsupportedDimensionError,
-    check_budget,
+    check_channel_budget,
 )
 from .sphere import maximize_convex_on_sphere, seed_directions
 
 MARGIN_TOL = 1e-9
 TIGHT_EPS_TOL = 1e-8
-EPS_CAP = 50.0
 AUDIT_TOL = 1e-9
 
 
@@ -75,10 +75,10 @@ def sup_objective(A, c, g):
     return value, gradient
 
 
-def ldp_sup(ch, eps, n_seeds=128):
+def ldp_sup(ch, eps):
     """Supremum of the certification norm and a maximizing direction u."""
     _require_qubit(ch)
-    check_budget(eps)
+    check_channel_budget(eps)
     g = float(np.exp(eps))
     A, c = ch.A, ch.c
 
@@ -87,7 +87,7 @@ def ldp_sup(ch, eps, n_seeds=128):
         return (1.0 + g) * float(s[0]), u_mat[:, 0]
 
     extra = [u_mat[:, 0], -u_mat[:, 0], -c, c]
-    seeds = seed_directions(3, n_seeds, extra=extra)
+    seeds = seed_directions(3, 128, extra=extra)
     value, gradient = sup_objective(A, c, g)
     return maximize_convex_on_sphere(value, gradient, seeds)
 
@@ -102,10 +102,9 @@ def _margin(ch, eps, u):
     return g * (a - b - 1.0) + (a + b + 1.0)
 
 
-def certify(ch, eps, n_seeds=128):
+def certify(ch, eps):
     """Exact certification result with a witness state pair."""
-    sup_value, u = ldp_sup(ch, eps, n_seeds=n_seeds)
-    g = float(np.exp(eps))
+    sup_value, u = ldp_sup(ch, eps)
     atu = ch.A.T @ u
     norm_atu = np.linalg.norm(atu)
     if norm_atu > 0:
@@ -132,11 +131,11 @@ def witness_norm(ch, eps, w, v):
     return float(np.linalg.norm(ch.A @ w - g * (ch.A @ v) + (1.0 - g) * ch.c))
 
 
-def tight_epsilon(ch, tol=TIGHT_EPS_TOL, cap=EPS_CAP):
+def tight_epsilon(ch):
     """Smallest eps at which the channel certifies, by bisection on the
     (monotone for calibrated families) margin. Raises DivergedError if the
-    channel is not LDP even at eps = cap."""
-    _require_qubit(ch)
+    channel is not LDP even at eps = MAX_CHANNEL_BUDGET."""
+    cap = MAX_CHANNEL_BUDGET
 
     def margin(eps):
         _, u = ldp_sup(ch, eps)
@@ -149,7 +148,7 @@ def tight_epsilon(ch, tol=TIGHT_EPS_TOL, cap=EPS_CAP):
     if margin(0.0) <= MARGIN_TOL:
         return 0.0
     lo, hi = 0.0, cap
-    while hi - lo > tol:
+    while hi - lo > TIGHT_EPS_TOL:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0.0:
             lo = mid
@@ -189,7 +188,7 @@ def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
     refute LDP (max divergence > 1e-9) but never prove it. `extra_pairs`
     lets a caller drive the audit toward suspected witnesses.
     """
-    check_budget(eps)
+    check_channel_budget(eps)
     if n < 1:
         raise InvalidInputError(f"the audit needs n >= 1 pairs, got {n}")
     rng = np.random.default_rng(seed)

@@ -3,8 +3,10 @@
 The search is evidence, not proof: results are the best feasible channel
 found by multi-start coordinate pattern search, with the depolarizing
 channel always among the starts (so the reported value never falls below
-the achievability mechanism). Every reported channel is re-certified
-exactly before being returned.
+the achievability mechanism). Feasibility is a radial projection: the
+certification supremum S(A, c) is positively homogeneous, S(tA, tc) =
+t S(A, c), and the output QFI grows along every ray from the origin, so
+the best eps-LDP point on a ray is (A, c) scaled by min(1, (e^eps - 1) / S).
 """
 
 from dataclasses import dataclass
@@ -13,9 +15,6 @@ import numpy as np
 
 from . import bounds, channels, ldp, qfi as qfi_mod
 from .exceptions import InvalidBudgetError, UnsupportedDimensionError, check_budget
-
-PENALTY = 1e6
-MARGIN_TARGET = 0.5e-9
 
 
 @dataclass(frozen=True)
@@ -34,31 +33,37 @@ class ChannelSearchResult:
         return dict(vars(self), best_channel=self.best_channel.to_dict())
 
 
-class _WarmMargin:
-    """Cheap warm-started estimate of the certification margin.
+class _WarmSup:
+    """Cheap warm-started estimate of the certification supremum.
 
     Runs a few Frank-Wolfe iterations of the dual sphere maximization
-    from a persistent direction block; a lower estimate of the supremum,
-    so the final candidate is always re-certified exactly.
+    from a persistent block of directions; a lower estimate, so the final
+    candidate is projected with the exact supremum.
     """
 
-    def __init__(self, g, k=12, iters=6):
+    def __init__(self, g):
         self.g = g
-        self.iters = iters
-        rng = np.random.default_rng(1)
-        U = rng.standard_normal((k, 3))
+        U = np.random.default_rng(1).standard_normal((12, 3))
         self.U = U / np.linalg.norm(U, axis=1, keepdims=True)
 
     def __call__(self, A, c):
         value, gradient = ldp.sup_objective(A, c, self.g)
         U = self.U
-        for _ in range(self.iters):
+        for _ in range(6):
             grad = gradient(U)
             gn = np.linalg.norm(grad, axis=1, keepdims=True)
             U = np.where(gn > 0, grad / np.where(gn > 0, gn, 1.0), U)
         self.U = U
-        sup = float(np.max(value(U)))
-        return sup - (self.g - 1.0)
+        return float(np.max(value(U)))
+
+
+def _project(A, c, sup, g):
+    """Scale (A, c), whose certification supremum is `sup`, by
+    t = min(1, (g - 1) / sup) onto the set of eps-LDP channels."""
+    if sup <= g - 1.0:
+        return A, c
+    t = (g - 1.0) / sup
+    return t * A, t * c
 
 
 def _qfi_of(A, c, w, dw):
@@ -70,45 +75,16 @@ def _qfi_of(A, c, w, dw):
     return qfi_mod.qfi_qubit(wbar, A @ dw).value
 
 
-def _restore_feasibility(x, center, eps, c_zero, n=3):
-    """Shrink a candidate toward a strictly feasible center until the
-    exact certification margin clears the tolerance. The margin is convex
-    along the segment and negative at the center, so the feasible
-    sublevel set on [0, 1] is an interval containing 0."""
-
-    def channel_at(t):
-        y = center + t * (x - center)
-        A = y[: n * n].reshape(n, n)
-        c = np.zeros(n) if c_zero else y[n * n:]
-        return channels.AffineChannel(d=2, A=A, c=c), y
-
-    ch, _ = channel_at(1.0)
-    cert = ldp.certify(ch, eps)
-    if cert.margin <= MARGIN_TARGET:
-        return ch, cert
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ch_mid, _ = channel_at(mid)
-        cert_mid = ldp.certify(ch_mid, eps)
-        if cert_mid.margin <= MARGIN_TARGET:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    ch_fin, _ = channel_at(lo)
-    return ch_fin, ldp.certify(ch_fin, eps)
-
-
 def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
-                 max_evals=20000, init_step=0.1, min_step=1e-7):
+                 max_evals=20000):
     """Multi-start pattern search for the highest-QFI eps-LDP channel.
 
-    Starts include the depolarizing channel, feasible random
-    perturbations of it, and c = 0 rotations of it. Infeasibility is
-    penalized in-loop with a warm-started margin estimate; the winning
-    candidate is restored to exact feasibility before being reported.
+    Starts include the depolarizing channel, random perturbations of it,
+    and c = 0 rotations of it. Candidates are scored at their projection,
+    with the exact supremum (1 + e^eps) sigma_1(A) when c = 0 and a
+    warm-started estimate otherwise. The winner is projected with the
+    exact supremum and certified once; the depolarizing channel is
+    reported instead if the winner falls below it or fails to certify.
     """
     if fam.d != 2:
         raise UnsupportedDimensionError("channel search is qubit-only")
@@ -116,18 +92,15 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     if eps <= 0:
         raise InvalidBudgetError(f"eps must be > 0, got {eps}")
     w, dw = fam.point(lam)
+    dep_ch = channels.depolarizing(2, eps)
     g = float(np.exp(eps))
-    shrink = (g - 1.0) / (g + 1.0)  # depolarizing 1 - p at this budget
+    shrink = float(dep_ch.A[0, 0])  # depolarizing 1 - p at this budget
     n = 3
     dim = n * n if c_zero else n * n + n
-
     dep = np.zeros(dim)
-    dep[: n * n] = (shrink * np.eye(n)).ravel()
-    # strictly feasible restoration center
-    center = 0.995 * dep
+    dep[: n * n] = dep_ch.A.ravel()
 
-    master = np.random.SeedSequence(seed)
-    streams = master.spawn(starts)
+    streams = np.random.SeedSequence(seed).spawn(starts)
 
     def start_point(i, rng):
         if i == 0:
@@ -144,36 +117,34 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         x[: n * n] = (shrink * q).ravel()
         return x
 
-    def objective(x, margin_fn):
-        A = x[: n * n].reshape(n, n)
-        c = np.zeros(n) if c_zero else x[n * n:]
-        f = _qfi_of(A, c, w, dw)
-        if not np.isfinite(f):
-            return -np.inf
+    def split(x):
+        return x[: n * n].reshape(n, n), np.zeros(n) if c_zero else x[n * n:]
+
+    def objective(x, sup_fn):
+        A, c = split(x)
         if c_zero:
-            m = (1.0 + g) * float(np.linalg.svd(A, compute_uv=False)[0]) \
-                - (g - 1.0)
+            sup = (1.0 + g) * float(np.linalg.svd(A, compute_uv=False)[0])
         else:
-            m = margin_fn(A, c)
-        return f - PENALTY * max(0.0, m)
+            sup = sup_fn(A, c)
+        return _qfi_of(*_project(A, c, sup, g), w, dw)
 
     best_x = dep.copy()
     best_f = -np.inf
     total_evals = 0
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        margin_fn = None if c_zero else _WarmMargin(g)
+        sup_fn = None if c_zero else _WarmSup(g)
         x = start_point(i, rng)
-        f = objective(x, margin_fn)
+        f = objective(x, sup_fn)
         evals = 1
-        step = init_step
-        while step > min_step and evals < max_evals:
+        step = 0.1
+        while step > 1e-7 and evals < max_evals:
             improved = False
             for j in range(dim):
                 for s in (1.0, -1.0):
                     cand = x.copy()
                     cand[j] += s * step
-                    fc = objective(cand, margin_fn)
+                    fc = objective(cand, sup_fn)
                     evals += 1
                     if fc > f + 1e-12:
                         x, f = cand, fc
@@ -187,15 +158,16 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         if f > best_f:
             best_f, best_x = f, x
 
-    ch, cert = _restore_feasibility(best_x, center, eps, c_zero)
-    best_qfi = _qfi_of(ch.A, ch.c, w, dw)
-    # the depolarizing seed is always feasible; never report below it
-    dep_ch = channels.depolarizing(2, eps)
+    A, c = split(best_x)
+    sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
+    A, c = _project(A, c, sup, g)
+    ch = channels.AffineChannel(d=2, A=A, c=c)
+    cert = ldp.certify(ch, eps)
+    best_qfi = _qfi_of(A, c, w, dw)
+    # the depolarizing start is always feasible; never report below it
     dep_qfi = _qfi_of(dep_ch.A, dep_ch.c, w, dw)
-    if best_qfi < dep_qfi:
-        ch = dep_ch
-        cert = ldp.certify(ch, eps)
-        best_qfi = dep_qfi
+    if best_qfi < dep_qfi or not cert.verdict:
+        ch, cert, best_qfi = dep_ch, ldp.certify(dep_ch, eps), dep_qfi
 
     cap = None
     inner = float(dw @ w)
@@ -216,12 +188,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     )
 
 
-def sweep(fam, lam, eps_grid, starts=32, seed=0, c_zero=False, **kwargs):
+def sweep(fam, lam, eps_grid, starts=32, seed=0, c_zero=False):
     """One search per budget in eps_grid; returns the list of results."""
-    results = []
-    for k, eps in enumerate(eps_grid):
-        results.append(
-            maximize_qfi(fam, lam, float(eps), starts=starts,
-                         seed=seed + k, c_zero=c_zero, **kwargs)
-        )
-    return results
+    return [maximize_qfi(fam, lam, float(eps), starts=starts, seed=seed + k,
+                         c_zero=c_zero) for k, eps in enumerate(eps_grid)]

@@ -13,11 +13,7 @@ import math
 import numpy as np
 
 from . import bloch
-from .exceptions import (
-    InvalidInputError,
-    NearSingularError,
-    UnsupportedDimensionError,
-)
+from .exceptions import InvalidInputError, NearSingularError
 
 BOUNDARY_TOL = 1e-9
 SLD_SUPPORT_TOL = 1e-12
@@ -198,6 +194,7 @@ def scaled_rotation_family(radius=0.8):
 
 def axis_family(d, k=0):
     """Qudit family w = lambda e_k along one generator direction."""
+    bloch.check_dimension(d)
     n = d * d - 1
     if not (0 <= k < n):
         raise InvalidInputError(f"axis index {k} out of range for d={d}")
@@ -251,7 +248,5 @@ def family_by_name(name, d=2, **kwargs):
     if name == "scaled-rotation":
         return scaled_rotation_family(**kwargs)
     if name.startswith("axis-"):
-        if d < 2:
-            raise UnsupportedDimensionError(f"bad dimension {d}")
         return axis_family(d, int(name.split("-", 1)[1]) - 1)
     raise InvalidInputError(f"unknown family {name!r}")

@@ -22,25 +22,23 @@ def fibonacci_sphere(n=256):
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def seed_directions(m, n=256, extra=None):
+def seed_directions(m, n, extra):
     """Seed unit vectors in R^m: the Fibonacci lattice for m=3, a fixed
-    pseudo-random cloud otherwise; `extra` rows are stacked on top."""
+    pseudo-random cloud otherwise; the nonzero `extra` rows, normalized,
+    are stacked on top."""
     if m == 3:
         seeds = fibonacci_sphere(n)
     else:
         rng = np.random.default_rng(0)
         seeds = rng.standard_normal((n, m))
         seeds /= np.linalg.norm(seeds, axis=1, keepdims=True)
-    if extra is not None and len(extra) > 0:
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        norms = np.linalg.norm(extra, axis=1, keepdims=True)
-        keep = norms[:, 0] > 0
-        if np.any(keep):
-            seeds = np.vstack([extra[keep] / norms[keep], seeds])
-    return seeds
+    extra = np.asarray(extra, dtype=float)
+    norms = np.linalg.norm(extra, axis=1, keepdims=True)
+    keep = norms[:, 0] > 0
+    return np.vstack([extra[keep] / norms[keep], seeds])
 
 
-def maximize_convex_on_sphere(value, gradient, seeds, max_iter=200, tol=1e-13):
+def maximize_convex_on_sphere(value, gradient, seeds):
     """Maximize a convex objective over unit vectors by batched
     Frank-Wolfe ascent from `seeds` (shape (k, m)).
 
@@ -49,7 +47,7 @@ def maximize_convex_on_sphere(value, gradient, seeds, max_iter=200, tol=1e-13):
     """
     u = np.array(seeds, dtype=float)
     f = value(u)
-    for _ in range(max_iter):
+    for _ in range(200):
         g = gradient(u)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         ok = norms[:, 0] > 0
@@ -57,7 +55,7 @@ def maximize_convex_on_sphere(value, gradient, seeds, max_iter=200, tol=1e-13):
             break
         u_new = np.where(ok[:, None], g / np.where(norms > 0, norms, 1.0), u)
         f_new = value(u_new)
-        improved = f_new > f + tol
+        improved = f_new > f + 1e-13
         if not np.any(improved):
             break
         u = np.where(improved[:, None], u_new, u)

@@ -29,8 +29,10 @@ def test_generator_invariants(d):
 
 
 def test_generators_rejects_bad_dimension():
-    with pytest.raises(InvalidDimensionError):
-        bloch.generators(1)
+    # 10**6 is past bloch.MAX_DIM: refused before anything is allocated
+    for d in (1, 10**6):
+        with pytest.raises(InvalidDimensionError):
+            bloch.generators(d)
 
 
 def test_to_density_maximally_mixed():

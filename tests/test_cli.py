@@ -160,6 +160,29 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
     cfg.write_text("[1]")  # a config must be a JSON object
     assert run_cli(capsys, "--config", str(cfg), "qfi", "--family", "radial",
                    "--lambda", "0.6") == (3, "")
+    # a config value must be what the option's own parser takes
+    simulate = ["simulate", "--family", "radial", "--lambda0", "0.6",
+                "--eps", "1", "--n", "10"]
+    for cfg_text in ('{"trials": 2.5}', '{"trials": [1]}',
+                     '{"trials": {"a": 1}}', '{"trials": "abc"}',
+                     '{"trials": true}', '{"alpha": "0.1"}',
+                     '{"channel": 1}', '{"out_format": "xml"}'):
+        cfg.write_text(cfg_text)
+        assert run_cli(capsys, "--config", str(cfg), *simulate) == (3, ""), \
+            cfg_text
+    cfg.write_text('{"c_zero": 1}')
+    assert run_cli(capsys, "--config", str(cfg), "optimize", "--family",
+                   "radial", "--lambda", "0.6", "--eps", "1") == (3, "")
+    # dimensions past bloch.MAX_DIM are refused before any allocation
+    for argv in (["qfi", "--family", "axis-1", "--dim", "1000000",
+                  "--lambda", "0.1"],
+                 ["bounds", "--family", "axis-1", "--dim", "1000000",
+                  "--lambda", "0.1", "--alpha", "0.01", "--eps", "0.5"],
+                 ["audit", "--depolarizing", "--dim", "1000000", "--eps", "1",
+                  "--n", "5"],
+                 ["certify", "--depolarizing", "--dim", "1000000",
+                  "--eps", "1"]):
+        assert run_cli(capsys, *argv) == (3, ""), argv
 
 
 def test_unknown_flag_rejected():
@@ -264,6 +287,11 @@ def test_config_file_with_flag_precedence(capsys, tmp_path):
                         "--family", "radial", "--lambda0", "0.6", "--eps", "1.0")
     assert code == 0
     assert json.loads(out)["result"]["n_trials"] == 7  # reaches the subcommand
+    cfg.write_text(json.dumps({"trials": 7.0}))  # integral: taken as 7
+    code, out = run_cli(capsys, "--config", str(cfg), "simulate",
+                        "--family", "radial", "--lambda0", "0.6", "--eps", "1.0")
+    assert code == 0
+    assert json.loads(out)["config"]["trials"] == 7
 
 
 def test_report_bundle(capsys, tmp_path):
@@ -304,10 +332,18 @@ def test_extreme_budget_is_out_of_regime(capsys):
     # e^eps - 1 and eps^2 underflow at eps = 1e-300: no count is finite
     bounds = ["bounds", "--family", "radial", "--lambda", "0.6",
               "--alpha", "0.01", "--eps", "1e-300"]
+    # at eps = 40 double precision cannot resolve a channel's privacy
     for argv in (bounds, bounds + ["--corollary1"], bounds + ["--thm2"],
                  ["scaling", "--family", "radial", "--lambda", "0.6",
-                  "--alpha", "0.01", "--eps-grid", "1e-300:1e-200:3"]):
-        assert run_cli(capsys, *argv) == (2, "")
+                  "--alpha", "0.01", "--eps-grid", "1e-300:1e-200:3"],
+                 ["certify", "--depolarizing", "--eps", "40"],
+                 ["audit", "--depolarizing", "--dim", "3", "--eps", "40",
+                  "--n", "5"],
+                 ["optimize", "--family", "radial", "--lambda", "0.6",
+                  "--eps", "40", "--starts", "1"],
+                 ["simulate", "--family", "radial", "--lambda0", "0.6",
+                  "--eps", "40", "--trials", "10"]):
+        assert run_cli(capsys, *argv) == (2, ""), argv
 
 
 # every float draw mixes plausible values with NaN, infinities, subnormals

@@ -6,9 +6,11 @@ from qldp import channels, ldp
 from qldp.bounds import bounds_cor1, bounds_thm1, bounds_thm2, qudit_upper_bound
 from qldp.channels import AffineChannel, depolarizing
 from qldp.exceptions import (
+    MAX_CHANNEL_BUDGET,
     DivergedError,
     InvalidBudgetError,
     InvalidInputError,
+    OutOfRegimeError,
     UnsupportedDimensionError,
 )
 from qldp.qfi import family_by_name, radial_family
@@ -35,6 +37,17 @@ def test_sup_constant_channel():
         sup, _ = ldp_sup(ch, eps)
         assert sup == 0.0
         assert certify(ch, eps).verdict
+
+
+def test_sup_is_positively_homogeneous(rng):
+    # S(tA, tc) = t S(A, c): the premise of the optimizer's projection
+    for _ in range(10):
+        ch = random_qubit_channel(rng)
+        eps = rng.uniform(0.1, 2.0)
+        sup, _ = ldp_sup(ch, eps)
+        for t in (0.25, 0.5, 2.0):
+            scaled, _ = ldp_sup(AffineChannel(2, t * ch.A, t * ch.c), eps)
+            assert abs(scaled - t * sup) <= 1e-12 * t * sup
 
 
 def test_sup_depolarizing_is_boundary_tight():
@@ -127,6 +140,25 @@ def test_non_finite_budget_rejected(call, eps):
     # 1e3 is finite, but e^(2 eps) overflows: past MAX_BUDGET
     with pytest.raises(InvalidBudgetError):
         call(eps)
+
+
+def test_channel_checks_stop_at_the_budget_ceiling():
+    # the calibrated channel passes its own checks up to the ceiling ...
+    for eps in (5.0, 8.0, MAX_CHANNEL_BUDGET):
+        assert certify(depolarizing(2, eps), eps).verdict
+        for d in (3, 4, 5):
+            assert audit_by_sampling(depolarizing(d, eps), eps, 50,
+                                     seed=0).consistent
+    # ... and past it double precision cannot resolve them: at eps ~ 17
+    # the qubit certificate fails, and at eps ~ 37 1 - p rounds to 1
+    eps = MAX_CHANNEL_BUDGET * (1.0 + 1e-12)
+    for call in (lambda: depolarizing(2, eps),
+                 lambda: ldp_sup(channels.identity_channel(2), eps),
+                 lambda: certify(channels.identity_channel(2), eps),
+                 lambda: audit_by_sampling(channels.identity_channel(3), eps,
+                                           5, seed=0)):
+        with pytest.raises(OutOfRegimeError):
+            call()
 
 
 def test_audit_rejects_empty_sample():
