@@ -259,8 +259,9 @@ def cmd_report(args):
 
 
 def build_parser():
+    # no abbreviated --config: `main` spots the option by its full name
     parser = argparse.ArgumentParser(
-        prog="qldp",
+        prog="qldp", allow_abbrev=False,
         description="Privacy-constrained quantum parameter estimation toolkit",
     )
     parser.add_argument("--config", help="JSON config file; flags take precedence")
@@ -371,23 +372,38 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv, args):
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise QldpError(f"{args.config}: config must be a JSON object")
-    # defaults set on the top-level parser never reach a subparser, so the
-    # keys the chosen subcommand knows go to that subcommand's parser
+def _apply_config_file(parser, argv):
+    """Make the --config file's values the defaults of the chosen
+    subcommand, before the parse, so that the file can also supply a
+    required option; flags on the command line still win."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
+    pre.add_argument("subcommand", nargs="?")
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    subparser = sub.choices[args.subcommand]
-    known = {a.dest: a for a in subparser._actions if a.dest in vars(args)}
-    defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-    subparser.set_defaults(**{k: _config_value(known[k], v)
-                              for k, v in defaults.items() if k in known})
-    return parser.parse_args(argv)
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return  # the parse reports the bad command line
+    subparser = sub.choices.get(known.subcommand)
+    if known.config is None or subparser is None:
+        return
+    with open(known.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise QldpError(f"{known.config}: config must be a JSON object")
+    # defaults set on the top-level parser never reach a subparser, so the
+    # keys the chosen subcommand knows go to that subcommand's parser
+    actions = {a.dest: a for a in subparser._actions
+               if a.default != argparse.SUPPRESS}
+    defaults = {}
+    for key, value in cfg.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is not None:
+            defaults[action.dest] = _config_value(action, value)
+            action.required = False
+    subparser.set_defaults(**defaults)
 
 
 def _config_value(action, value):
@@ -420,8 +436,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
+        if any(a == "--config" or a.startswith("--config=") for a in argv):
+            _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        args = _apply_config_file(parser, argv, args)
         _check_options(args)
         return args.func(args)
     except OutOfRegimeError as exc:

@@ -64,8 +64,9 @@ def check_channel_budget(eps):
             f"channel budget {eps} is above {MAX_CHANNEL_BUDGET}")
 
 
-class DivergedError(QldpError):
-    """A quantity is unbounded or a search failed to bracket a root."""
+class DivergedError(OutOfRegimeError):
+    """A quantity is unbounded or a search failed to bracket a root, as for
+    a channel that is not LDP at any budget up to MAX_CHANNEL_BUDGET."""
 
 
 class NearSingularError(QldpError):

@@ -67,6 +67,13 @@ def test_tighteps(capsys, tmp_path):
     assert abs(json.loads(out)["result"]["tight_eps"] - 1.0) < 1e-6
 
 
+def test_tighteps_non_private_channel_is_out_of_regime(capsys, tmp_path):
+    # the identity channel is not eps-LDP at any budget up to the ceiling
+    path = tmp_path / "identity.json"
+    channels.identity_channel(2).save(str(path))
+    assert run_cli(capsys, "tighteps", "--channel", str(path)) == (2, "")
+
+
 def test_audit(capsys):
     code, out = run_cli(capsys, "audit", "--depolarizing", "--eps", "1.0",
                         "--n", "200", "--seed", "4")
@@ -292,6 +299,25 @@ def test_config_file_with_flag_precedence(capsys, tmp_path):
                         "--family", "radial", "--lambda0", "0.6", "--eps", "1.0")
     assert code == 0
     assert json.loads(out)["config"]["trials"] == 7
+
+
+def test_config_file_supplies_a_required_option(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "radial"}))
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        code, out = run_cli(capsys, *config, "qfi", "--lambda", "0.6")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["family"] == "radial"
+        assert abs(doc["result"]["value"] - 1.5625) < 1e-12
+    code, out = run_cli(capsys, "--config", str(cfg), "qfi",
+                        "--family", "rotation", "--lambda", "0.6")
+    assert code == 0
+    assert json.loads(out)["config"]["family"] == "rotation"  # flag wins
+    # an option neither the file nor the command line gives is still missing
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "qfi"])
+    assert exc.value.code == 2
 
 
 def test_report_bundle(capsys, tmp_path):

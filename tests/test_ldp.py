@@ -1,3 +1,5 @@
+import statistics
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from qldp.exceptions import (
 )
 from qldp.qfi import family_by_name, radial_family
 from qldp.ldp import (
+    MARGIN_TOL,
+    TIGHT_EPS_TOL,
     audit_by_sampling,
     certify,
     ldp_sup,
@@ -124,6 +128,102 @@ def test_tight_epsilon_constant_channel_is_zero():
 def test_tight_epsilon_diverges_for_identity():
     with pytest.raises(DivergedError):
         tight_epsilon(channels.identity_channel(2))
+
+
+def test_tight_epsilon_closed_form_for_c_zero(rng):
+    # margin (1 + g) s1 - (g - 1) crosses zero at g = (1 + s1) / (1 - s1)
+    for s1 in (0.0, 0.05, 0.3, 0.5, 0.8, 0.99):
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A = U @ np.diag([s1, 0.7 * s1, 0.2 * s1]) @ V.T
+        expected = np.log((1.0 + s1) / (1.0 - s1))
+        assert abs(tight_epsilon(AffineChannel(2, A, np.zeros(3)))
+                   - expected) < 1e-12
+    with pytest.raises(DivergedError):  # ln(1 + 2 / 1e-5) > 10
+        tight_epsilon(AffineChannel(2, (1.0 - 1e-5) * np.eye(3), np.zeros(3)))
+    with pytest.raises(UnsupportedDimensionError):
+        tight_epsilon(depolarizing(3, 1.0))
+
+
+def _bisection_tight_epsilon(ch):
+    """The reference: bisection of [0, MAX_CHANNEL_BUDGET] on the margin
+    test down to a bracket of TIGHT_EPS_TOL, 32 `ldp_sup` solves."""
+    def margin(eps):
+        _, u = ldp_sup(ch, eps)
+        return ldp._margin(ch, eps, u)
+
+    assert margin(MAX_CHANNEL_BUDGET) <= MARGIN_TOL < margin(0.0)
+    lo, hi = 0.0, MAX_CHANNEL_BUDGET
+    while hi - lo > TIGHT_EPS_TOL:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _stratified_channels(n, seed):
+    """Qubit channels with c != 0 as the request benchmark writes them: top
+    singular value of A in [0.3, 0.8], the second one a ratio spread over
+    [0.05, 0.95] times it, and ||A|| + ||c|| <= 0.9."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for ratio in 0.05 + 0.9 * (np.arange(n) + 0.5) / n:
+        top = rng.uniform(0.3, 0.8)
+        sv = np.array([top, ratio * top, rng.uniform(0.0, ratio * top)])
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        c = rng.standard_normal(3)
+        c *= rng.uniform(0.02, 0.9 - top) / np.linalg.norm(c)
+        out.append(AffineChannel(2, U @ np.diag(sv) @ V.T, c))
+    return out
+
+
+@pytest.fixture(scope="module")
+def stratified():
+    chs = _stratified_channels(40, seed=601)
+    return [(ch, _bisection_tight_epsilon(ch)) for ch in chs]
+
+
+def test_tight_epsilon_matches_bisection_in_few_solves(stratified,
+                                                      monkeypatch):
+    calls = []
+    real = ldp.ldp_sup
+
+    def counting(ch, eps):
+        calls.append(eps)
+        return real(ch, eps)
+
+    monkeypatch.setattr(ldp, "ldp_sup", counting)
+    counts = []
+    for ch, ref in stratified:
+        calls.clear()
+        t = tight_epsilon(ch)
+        counts.append(len(calls))
+        assert abs(t - ref) < 1e-7
+        assert certify(ch, t + TIGHT_EPS_TOL).verdict
+    assert statistics.median(counts) <= 8
+    assert max(counts) <= 12
+
+
+def test_tight_epsilon_survives_a_poor_direction(stratified, monkeypatch):
+    # a poor direction's affine bound still lies below the margin: its
+    # Newton step falls short of the crossing and the bracket holds
+    real = ldp.ldp_sup
+    for ch, ref in stratified[::5]:
+        poor = []
+
+        def once_poor(ch, eps):
+            value, u = real(ch, eps)
+            if eps == 0.0 and not poor:
+                u = np.linalg.svd(ch.A)[0][:, 2]  # the weakest direction
+                poor.append(u)
+            return value, u
+
+        monkeypatch.setattr(ldp, "ldp_sup", once_poor)
+        assert abs(tight_epsilon(ch) - ref) < 1e-7
+        assert poor
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e3])
