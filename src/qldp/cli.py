@@ -387,8 +387,8 @@ def _apply_config_file(parser, argv):
     except argparse.ArgumentError:
         return  # the parse reports the bad command line
     subparser = sub.choices.get(known.subcommand)
-    if known.config is None or subparser is None:
-        return
+    if not known.config or subparser is None:
+        return  # an empty --config= is ignored, as without the option
     with open(known.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):

@@ -146,48 +146,38 @@ def witness_norm(ch, eps, w, v):
     return float(np.linalg.norm(ch.A @ w - g * (ch.A @ v) + (1.0 - g) * ch.c))
 
 
-def _not_private():
-    return DivergedError(
-        f"channel is not eps-LDP for any eps <= {MAX_CHANNEL_BUDGET}; "
-        "effectively non-private")
-
-
 def tight_epsilon(ch):
     """Smallest eps at which the channel certifies, to within TIGHT_EPS_TOL.
     Raises DivergedError if the channel is not LDP even at
     eps = MAX_CHANNEL_BUDGET.
 
-    With c = 0 the margin is (1 + g) s_1 - (g - 1) for the top singular
-    value s_1 of A, and the answer is ln((1 + s_1) / (1 - s_1)).
-
-    Otherwise a bracket [lo, hi] is kept on the margin test: the margin is
-    positive at lo and not at hi, and hi starts at the ceiling. The margin
-    is convex in g = e^eps, so it crosses zero once in the bracket, and the
-    affine lower bound of the direction found at lo, whose slope is then
+    A bracket [lo, hi] is kept on the margin test: the margin is positive
+    at lo and not at hi, and hi starts at the ceiling. The margin is convex
+    in g = e^eps, so it crosses zero once in the bracket, and the affine
+    lower bound of the direction found at lo, whose slope is then
     negative, crosses zero at or before it: its Newton point never passes
     the answer. Each step tests that point, aimed TIGHT_EPS_TOL / 2 short
     so that a step landing on the crossing still raises lo, or the midpoint
-    when there is no Newton point below hi (a poor direction). A test is
+    when there is no Newton point below hi (a test at hi understated the
+    margin, so the bracket holds no crossing of the bounds). A test is
     kept TIGHT_EPS_TOL inside both ends, so every step narrows the bracket
     by at least that much. Once the bracket is at most 2 TIGHT_EPS_TOL
     wide, lo + TIGHT_EPS_TOL closes it and its midpoint is returned. This
-    takes about 6 `ldp_sup` solves where bisection takes 32.
+    takes about 6 `ldp_sup` solves where bisection takes 32. With c = 0,
+    `ldp_sup` returns the top singular direction, whose bound is the margin
+    (1 + g) s_1 - (g - 1) itself, so the answer is ln((1 + s_1)/(1 - s_1))
+    to rounding after four solves.
     """
-    _require_qubit(ch)
     cap = MAX_CHANNEL_BUDGET
-    if np.linalg.norm(ch.c) == 0.0:
-        s1 = float(np.linalg.svd(ch.A, compute_uv=False)[0])
-        t = math.log((1.0 + s1) / (1.0 - s1)) if s1 < 1.0 else math.inf
-        if t > cap:
-            raise _not_private()
-        return t
 
     def margin(eps):
         _, u = ldp_sup(ch, eps)
         return _margin(ch, eps, u), u
 
     if margin(cap)[0] > MARGIN_TOL:
-        raise _not_private()
+        raise DivergedError(
+            f"channel is not eps-LDP for any eps <= {cap}; effectively non-private"
+        )
     m, u = margin(0.0)
     if m <= MARGIN_TOL:
         return 0.0

@@ -314,6 +314,9 @@ def test_config_file_supplies_a_required_option(capsys, tmp_path):
                         "--family", "rotation", "--lambda", "0.6")
     assert code == 0
     assert json.loads(out)["config"]["family"] == "rotation"  # flag wins
+    code, out = run_cli(capsys, "--config=", "qfi", "--family", "radial",
+                        "--lambda", "0.6")
+    assert code == 0  # an empty --config= reads no file
     # an option neither the file nor the command line gives is still missing
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "qfi"])

@@ -226,6 +226,40 @@ def test_tight_epsilon_survives_a_poor_direction(stratified, monkeypatch):
         assert poor
 
 
+def test_tight_epsilon_bisects_below_an_understated_hi(stratified,
+                                                       monkeypatch):
+    # a poor direction at the second Newton point, below the crossing,
+    # fails the margin test there: that point becomes hi, the Newton point
+    # of lo's direction is hi itself, and the loop must bisect [lo, hi]
+    real = ldp.ldp_sup
+    for ch, _ in stratified[::5]:
+        tests = []
+
+        def poor_at_fourth(ch, eps):
+            value, u = real(ch, eps)
+            if len(tests) == 3:
+                u = np.linalg.svd(ch.A)[0][:, 2]  # the weakest direction
+            tests.append((eps, ldp._margin(ch, eps, u)))
+            return value, u
+
+        monkeypatch.setattr(ldp, "ldp_sup", poor_at_fourth)
+        t = tight_epsilon(ch)
+        poor_eps, poor_margin = tests[3]
+        assert poor_margin <= 0.0
+        # replay the bracket from the tests after the two end checks
+        lo, hi, midpoints = 0.0, MAX_CHANNEL_BUDGET, 0
+        for eps, m in tests[2:]:
+            midpoints += eps == 0.5 * (lo + hi)
+            if m > 0.0:
+                lo = eps
+            else:
+                hi = eps
+        assert midpoints > 0
+        assert hi - lo <= TIGHT_EPS_TOL and t == 0.5 * (lo + hi)
+        assert poor_eps - TIGHT_EPS_TOL <= t <= poor_eps
+        assert len(tests) <= 32 + 2  # the bisection's solves, two end tests
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e3])
 @pytest.mark.parametrize("call", [
     lambda eps: certify(AffineChannel(2, 0.3 * np.eye(3), np.full(3, 0.1)), eps),
