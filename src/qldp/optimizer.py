@@ -1,12 +1,40 @@
-"""Derivative-free search over eps-LDP qubit channels maximizing output QFI.
+"""Search over eps-LDP qubit channels (A, c) maximizing the output QFI.
 
-The search is evidence, not proof: results are the best feasible channel
+Feasibility is a radial projection: the certification supremum S(A, c) is
+positively homogeneous, S(tA, tc) = t S(A, c), and the output QFI grows
+along every ray from the origin, so the best eps-LDP point on a ray is
+(A, c) scaled by min(1, (e^eps - 1) / S).
+
+Reduction to span{w, dw}. The output state and its derivative are A w + c
+and A dw, so the QFI sees A only on span{w, dw}. Let P be an orthonormal
+basis (3 x r) of that span, r = 1 when w is parallel to dw (radial-type
+families) and r = 2 otherwise. Replacing A by A P P^T keeps the QFI and
+never raises ||A^T u|| (P P^T is an orthogonal projection), hence never
+raises S. The search therefore moves over A = B P^T, i.e. over B (3 r
+numbers) and c, instead of all 12 entries of (A, c); ||A^T u|| = ||B^T u||
+and A w = B (P^T w), so every score is computed from B directly.
+
+Rank 1 in closed form. With r = 1, B is one column a, ||A^T u|| = |a^T u|
+and, with g = e^eps,
+    S = max_{||u||=1} (1 + g) |a^T u| - (g - 1) c^T u
+      = max(||(1 + g) a - (g - 1) c||, ||(1 + g) a + (g - 1) c||),
+exactly (for a fixed sign of a^T u the maximand is linear in u). With
+r = 2 candidates are scored with a warm-started Frank-Wolfe estimate.
+
+c = 0 is solved. The feasible set sigma_1(A) <= kappa, with
+kappa = (e^eps - 1) / (e^eps + 1), is the convex hull of kappa O(3). The QFI
+is convex in A: it is the maximum over measurements of classical Fisher
+informations (Braunstein and Caves, PRL 72, 3439, 1994), each jointly
+convex in (p, dp), and the output is affine in A. It is also invariant
+under A -> Q A for orthogonal Q. So its maximum sits at an extreme point
+kappa Q, whose QFI is that of kappa I: the depolarizing channel.
+
+With c free the search is evidence, not proof: the best feasible channel
 found by multi-start coordinate pattern search, with the depolarizing
-channel always among the starts (so the reported value never falls below
-the achievability mechanism). Feasibility is a radial projection: the
-certification supremum S(A, c) is positively homogeneous, S(tA, tc) =
-t S(A, c), and the output QFI grows along every ray from the origin, so
-the best eps-LDP point on a ray is (A, c) scaled by min(1, (e^eps - 1) / S).
+channel among the starts. The winner is projected with the exact
+supremum, certified once and checked for complete positivity; the
+depolarizing channel is reported instead if any check fails or the winner
+falls below it.
 """
 
 from dataclasses import dataclass
@@ -46,8 +74,8 @@ class _WarmSup:
         U = np.random.default_rng(1).standard_normal((12, 3))
         self.U = U / np.linalg.norm(U, axis=1, keepdims=True)
 
-    def __call__(self, A, c):
-        value, gradient = ldp.sup_objective(A, c, self.g)
+    def __call__(self, B, c):
+        value, gradient = ldp.sup_objective(B, c, self.g)
         U = self.U
         for _ in range(6):
             grad = gradient(U)
@@ -55,6 +83,24 @@ class _WarmSup:
             U = np.where(gn > 0, grad / np.where(gn > 0, gn, 1.0), U)
         self.U = U
         return float(np.max(value(U)))
+
+
+def _rank1_sup(g):
+    """The exact certification supremum of A = a p^T (B = a, one column)."""
+
+    def sup(B, c):
+        a = (1.0 + g) * B[:, 0]
+        b = (g - 1.0) * c
+        return max(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+
+    return sup
+
+
+def _span_basis(w, dw):
+    """Orthonormal basis (3 x r) of span{w, dw}; r = 1 when w is parallel
+    to dw (up to rounding), 2 otherwise."""
+    u, s, _ = np.linalg.svd(np.column_stack([dw, w]))
+    return u[:, :1] if s[1] <= 1e-12 * s[0] else u[:, :2]
 
 
 def _project(A, c, sup, g):
@@ -75,65 +121,47 @@ def _qfi_of(A, c, w, dw):
     return qfi_mod.qfi_qubit(wbar, A @ dw).value
 
 
-def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
-                 max_evals=20000):
-    """Multi-start pattern search for the highest-QFI eps-LDP channel.
-
-    Starts include the depolarizing channel, random perturbations of it,
-    and c = 0 rotations of it. Candidates are scored at their projection,
-    with the exact supremum (1 + e^eps) sigma_1(A) when c = 0 and a
-    warm-started estimate otherwise. The winner is projected with the
-    exact supremum and certified once; the depolarizing channel is
-    reported instead if the winner falls below it or fails to certify.
-    """
-    if fam.d != 2:
-        raise UnsupportedDimensionError("channel search is qubit-only")
-    check_budget(eps)
-    if eps <= 0:
-        raise InvalidBudgetError(f"eps must be > 0, got {eps}")
-    w, dw = fam.point(lam)
-    dep_ch = channels.depolarizing(2, eps)
-    g = float(np.exp(eps))
-    shrink = float(dep_ch.A[0, 0])  # depolarizing 1 - p at this budget
-    n = 3
-    dim = n * n if c_zero else n * n + n
+def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
+    """Multi-start coordinate pattern search over (B, c), A = B P^T, at
+    g = e^eps. Starts are the depolarizing point shrink * P, random
+    perturbations of it and c = 0 rotations of it; candidates are scored at
+    their projection. Returns the best (A, c) found, unprojected, and the
+    number of evaluations."""
+    P = _span_basis(w, dw)
+    n, r = P.shape
+    k = n * r
+    dim = k + n
+    pw, pdw = P.T @ w, P.T @ dw
     dep = np.zeros(dim)
-    dep[: n * n] = dep_ch.A.ravel()
-
-    streams = np.random.SeedSequence(seed).spawn(starts)
+    dep[:k] = (shrink * P).ravel()
 
     def start_point(i, rng):
         if i == 0:
             return dep.copy()
         if i % 3 == 1:
             x = dep.copy()
-            x[: n * n] += 0.3 * shrink * rng.standard_normal(n * n)
-            if not c_zero:
-                x[n * n:] = 0.1 * shrink * rng.standard_normal(n)
+            x[:k] += 0.3 * shrink * rng.standard_normal(k)
+            x[k:] = 0.1 * shrink * rng.standard_normal(n)
             return x
         # random rotation of the depolarizing point (c = 0, same sup)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         x = np.zeros(dim)
-        x[: n * n] = (shrink * q).ravel()
+        x[:k] = (shrink * q @ P).ravel()
         return x
 
     def split(x):
-        return x[: n * n].reshape(n, n), np.zeros(n) if c_zero else x[n * n:]
+        return x[:k].reshape(n, r), x[k:]
 
     def objective(x, sup_fn):
-        A, c = split(x)
-        if c_zero:
-            sup = (1.0 + g) * float(np.linalg.svd(A, compute_uv=False)[0])
-        else:
-            sup = sup_fn(A, c)
-        return _qfi_of(*_project(A, c, sup, g), w, dw)
+        B, c = split(x)
+        return _qfi_of(*_project(B, c, sup_fn(B, c), g), pw, pdw)
 
     best_x = dep.copy()
     best_f = -np.inf
     total_evals = 0
-    for i, stream in enumerate(streams):
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(starts)):
         rng = np.random.default_rng(stream)
-        sup_fn = None if c_zero else _WarmSup(g)
+        sup_fn = _rank1_sup(g) if r == 1 else _WarmSup(g)
         x = start_point(i, rng)
         f = objective(x, sup_fn)
         evals = 1
@@ -158,16 +186,50 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         if f > best_f:
             best_f, best_x = f, x
 
-    A, c = split(best_x)
-    sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
-    A, c = _project(A, c, sup, g)
-    ch = channels.AffineChannel(d=2, A=A, c=c)
-    cert = ldp.certify(ch, eps)
-    best_qfi = _qfi_of(A, c, w, dw)
-    # the depolarizing start is always feasible; never report below it
+    B, c = split(best_x)
+    return B @ P.T, c, total_evals
+
+
+def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
+                 max_evals=20000):
+    """The highest-QFI eps-LDP qubit channel for the family at lam.
+
+    With c_zero the answer is the depolarizing channel, by the convexity
+    argument in the module docstring, and no search runs (`evaluations`
+    is 0; `starts` and `seed` are echoed). Otherwise a multi-start pattern
+    search over A = B P^T restricted to span{w, dw} (6 numbers when w is
+    parallel to dw, scored with the closed-form supremum; 9 otherwise,
+    scored with a warm Frank-Wolfe estimate). Its winner is projected with
+    the exact supremum, certified once and checked for complete
+    positivity; the depolarizing channel is reported instead if the winner
+    fails either check or falls below it.
+    """
+    if fam.d != 2:
+        raise UnsupportedDimensionError("channel search is qubit-only")
+    check_budget(eps)
+    if eps <= 0:
+        raise InvalidBudgetError(f"eps must be > 0, got {eps}")
+    w, dw = fam.point(lam)
+    dep_ch = channels.depolarizing(2, eps)
     dep_qfi = _qfi_of(dep_ch.A, dep_ch.c, w, dw)
-    if best_qfi < dep_qfi or not cert.verdict:
-        ch, cert, best_qfi = dep_ch, ldp.certify(dep_ch, eps), dep_qfi
+    g = float(np.exp(eps))
+    shrink = float(dep_ch.A[0, 0])  # depolarizing 1 - p at this budget
+
+    ch, best_qfi, evaluations = dep_ch, dep_qfi, 0
+    if not c_zero:
+        A, c, evaluations = _pattern_search(w, dw, g, shrink, starts, seed,
+                                            max_evals)
+        sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
+        A, c = _project(A, c, sup, g)
+        found = channels.AffineChannel(d=2, A=A, c=c)
+        found_qfi = _qfi_of(A, c, w, dw)
+        cert = ldp.certify(found, eps)
+        # the depolarizing start is always feasible; never report below it
+        if (cert.verdict and channels.cp_check(found)[0]
+                and found_qfi >= dep_qfi):
+            ch, best_qfi = found, found_qfi
+    if ch is dep_ch:
+        cert = ldp.certify(dep_ch, eps)
 
     cap = None
     inner = float(dw @ w)
@@ -184,7 +246,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         seed=int(seed),
         eps=float(eps),
         feasibility_margin=float(cert.margin),
-        evaluations=int(total_evals),
+        evaluations=int(evaluations),
     )
 
 

@@ -98,3 +98,126 @@ def test_sweep_monotone_in_budget():
     for r, eps in zip(results, grid):
         assert r.eps == eps
         assert r.feasibility_margin <= 1e-9
+
+
+# -- c = 0 is the depolarizing channel ------------------------------------
+
+
+def test_c_zero_returns_depolarizing_on_criterion_7_grid():
+    fam = rotation_family()
+    for eps in np.linspace(0.05, 0.45, 9):
+        eps = float(eps)
+        res = maximize_qfi(fam, 0.3, eps, starts=8, seed=1, c_zero=True)
+        dep = channels.depolarizing(2, eps)
+        assert np.array_equal(res.best_channel.A, dep.A)
+        assert not np.any(res.best_channel.c)
+        assert res.best_qfi == _dep_qfi(fam, 0.3, eps)
+        assert res.evaluations == 0
+        assert (res.starts, res.seed) == (8, 1)
+        assert res.feasibility_margin == ldp.certify(dep, eps).margin
+
+
+def test_no_c_zero_map_beats_depolarizing():
+    """sigma_1(A) <= kappa is conv(kappa O(3)) and the QFI is convex and
+    invariant under A -> QA, so no feasible c = 0 map beats kappa I."""
+    rng = np.random.default_rng(7)
+    families = [radial_family(), rotation_family(),
+                family_by_name("scaled-rotation")]
+    for k in range(2000):
+        fam = families[k % 3]
+        lam = float(rng.uniform(-0.95, 0.95))
+        eps = float(rng.uniform(0.01, 5.0))
+        kappa = np.expm1(eps) / (np.exp(eps) + 1.0)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((3, 3)))
+        s = np.full(3, kappa) if k % 2 else kappa * rng.uniform(0, 1, 3)
+        A = U @ np.diag(s) @ Vt
+        w, dw = fam.point(lam)
+        value = qfi_qubit(A @ w, A @ dw).value
+        assert value <= _dep_qfi(fam, lam, eps) * (1.0 + 1e-12) + 1e-300
+
+
+# -- the search on span{w, dw} ---------------------------------------------
+
+
+def test_radial_search_does_not_creep_along_a_ridge():
+    fam = radial_family()
+    res = maximize_qfi(fam, 0.6, 2.0, starts=8, seed=0)
+    assert res.evaluations < 8000
+    assert res.best_qfi >= _dep_qfi(fam, 0.6, 2.0)
+
+
+def test_rank1_closed_form_matches_ldp_sup():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        eps = float(rng.uniform(0.01, 5.0))
+        a = rng.standard_normal(3) * rng.uniform(0.0, 0.5)
+        c = rng.standard_normal(3) * rng.uniform(0.0, 0.3)
+        p = rng.standard_normal(3)
+        p /= np.linalg.norm(p)
+        closed = optimizer._rank1_sup(np.exp(eps))(a[:, None], c)
+        ch = channels.AffineChannel(d=2, A=np.outer(a, p), c=c)
+        sup, _ = ldp.ldp_sup(ch, eps)
+        assert abs(closed - sup) <= 1e-12 * sup
+
+
+def test_restriction_to_span_keeps_qfi_and_never_raises_sup():
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        fam = radial_family() if k % 2 else rotation_family()
+        lam = float(rng.uniform(-0.9, 0.9))
+        eps = float(rng.uniform(0.05, 3.0))
+        w, dw = fam.point(lam)
+        P = optimizer._span_basis(w, dw)
+        assert P.shape == (3, 1 if k % 2 else 2)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((3, 3)))
+        A = U @ np.diag(rng.uniform(0.0, 0.5, 3)) @ Vt
+        c = rng.standard_normal(3) * rng.uniform(0.0, 0.4) / np.sqrt(3.0)
+        AP = A @ P @ P.T
+        full = qfi_qubit(A @ w + c, A @ dw).value
+        reduced = qfi_qubit(AP @ w + c, AP @ dw).value
+        assert abs(reduced - full) <= 1e-12 * full
+        sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
+        sup_p, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=AP, c=c), eps)
+        assert sup_p <= sup * (1.0 + 1e-12)
+
+
+def test_outputs_are_completely_positive(monkeypatch):
+    verdicts = []
+    real_check = channels.cp_check
+
+    def check(ch):
+        out = real_check(ch)
+        verdicts.append(out[0])
+        return out
+
+    monkeypatch.setattr(channels, "cp_check", check)
+    for fam, lam in ((radial_family(), 0.6), (rotation_family(), 0.3),
+                     (family_by_name("scaled-rotation"), 0.3)):
+        for eps in (0.1, 1.0, 2.0):
+            res = maximize_qfi(fam, lam, eps, starts=4, seed=0)
+            assert real_check(res.best_channel)[0]
+            assert res.best_qfi >= _dep_qfi(fam, lam, eps)
+    # every search winner was checked; the rank-1 (radial) winners are
+    # measure-and-prepare channels, so completely positive
+    assert len(verdicts) == 9 and all(verdicts[:3])
+
+
+def test_falls_back_to_depolarizing_when_not_completely_positive(monkeypatch):
+    fam = radial_family()
+    dep = channels.depolarizing(2, 2.0)
+    found = maximize_qfi(fam, 0.6, 2.0, starts=2, seed=0)
+    assert not np.array_equal(found.best_channel.A, dep.A)
+    checked = []
+
+    def fail(ch):
+        checked.append(ch)
+        return False, -1.0
+
+    monkeypatch.setattr(channels, "cp_check", fail)
+    res = maximize_qfi(fam, 0.6, 2.0, starts=2, seed=0)
+    assert len(checked) == 1
+    assert np.array_equal(checked[0].A, found.best_channel.A)
+    assert np.array_equal(res.best_channel.A, dep.A)
+    assert not np.any(res.best_channel.c)
+    assert res.best_qfi == _dep_qfi(fam, 0.6, 2.0)
+    assert res.feasibility_margin == ldp.certify(dep, 2.0).margin
