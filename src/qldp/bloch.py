@@ -16,6 +16,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 MAX_DIM = 16  # the qudit QFI's anticommutator tensor takes ~270 MB at d = 16
+REJECTION_CHUNK = 256  # qutrit candidates per stacked positivity test
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -74,7 +75,8 @@ def generators(d):
 def to_density(w, d=None):
     """Map a Bloch vector to its density matrix I/d + (1/2) w.eta.
 
-    Raises NotAStateError if the result has an eigenvalue below -1e-10.
+    Raises NotAStateError if the result has an eigenvalue below -1e-10,
+    or a NaN one (from non-finite entries).
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
@@ -88,7 +90,7 @@ def to_density(w, d=None):
     etas = generators(d)
     rho = np.eye(d, dtype=complex) / d + 0.5 * np.tensordot(w, etas, axes=(0, 0))
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < POSITIVITY_TOL:
+    if not lo >= POSITIVITY_TOL:  # NaN entries give a NaN eigenvalue
         raise NotAStateError(
             f"Bloch vector is outside the state body (min eigenvalue {lo:.3e})",
             eigenvalue=lo,
@@ -123,31 +125,61 @@ def check_density(rho):
         )
 
 
-def random_bloch_vector(d, rng, radius=None):
-    """Draw a random valid Bloch vector.
+def random_bloch_vector(d, rng, size=None):
+    """Draw random valid Bloch vectors: one of shape (d^2 - 1,) with
+    size=None, a batch of shape (size, d^2 - 1) otherwise.
 
-    Qubits: uniform over the ball. d = 3: uniform over the state set, by
-    rejection sampling of the outer ball on positivity of the density
-    matrix (~2.7% acceptance). d >= 4: not uniform; the state body is a
-    vanishing fraction of the outer ball and rejection never terminates
-    in practice, so states are drawn from the Hilbert-Schmidt (Ginibre)
-    ensemble instead, and `radius` is ignored.
+    Qubits: uniform over the ball; the directions and radii of a batch are
+    drawn as arrays, and size=None reads the generator exactly as one draw
+    always has. d = 3: uniform over the state set, by rejection sampling of
+    the outer ball on positivity of the density matrix (~2.7% acceptance).
+    The candidates come in chunks of at most REJECTION_CHUNK, each tested
+    with one stacked eigvalsh, and the accepted ones are kept in draw order.
+    d >= 4: not uniform; the state body is a vanishing fraction of the outer
+    ball and rejection never terminates in practice, so each state is drawn
+    from the Hilbert-Schmidt (Ginibre) ensemble, one after the other.
     """
+    k = 1 if size is None else size
+    if d == 2:
+        w = _ball_points(d, k, rng)
+    elif d == 3:
+        w = _qutrit_states(k, rng)
+    else:
+        w = np.array([_hilbert_schmidt_state(d, rng) for _ in range(k)])
+        w = w.reshape(k, d * d - 1)  # (k, n) also for k = 0
+    return w[0] if size is None else w
+
+
+def _ball_points(d, k, rng):
+    """k points uniform in the outer ball of the Bloch vectors of dimension d."""
     n = d * d - 1
-    r_d = max_radius(d) if radius is None else radius
-    if d >= 4:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        return from_density(rho)
-    while True:
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        w = r_d * rng.random() ** (1.0 / n) * u
-        if d == 2:
-            return w
-        try:
-            to_density(w, d)
-        except NotAStateError:
-            continue
-        return w
+    u = rng.standard_normal((k, n))
+    # row-wise dot products and scalar powers round as the one-at-a-time
+    # draw did (np.linalg.norm of a row; numpy's array power does not)
+    u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
+    radii = [x ** (1.0 / n) for x in rng.random(k).tolist()]
+    return max_radius(d) * np.array(radii)[:, None] * u
+
+
+def _qutrit_states(k, rng):
+    """k qutrit states uniform over the state body, by chunked rejection."""
+    etas = generators(3)
+    kept = [np.empty((0, 8))]
+    missing = k
+    while missing > 0:
+        # ~1.7 times the expected need at 2.7% acceptance, capped so the
+        # stacked matrices stay small
+        w = _ball_points(3, min(REJECTION_CHUNK, 64 * missing), rng)
+        rho = np.eye(3) / 3 + 0.5 * np.tensordot(w, etas, axes=(1, 0))
+        w = w[np.linalg.eigvalsh(rho)[:, 0] >= POSITIVITY_TOL]
+        kept.append(w[:missing])
+        missing -= len(kept[-1])
+    return np.concatenate(kept)
+
+
+def _hilbert_schmidt_state(d, rng):
+    """One Bloch vector from the Hilbert-Schmidt (Ginibre) ensemble."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return from_density(rho)

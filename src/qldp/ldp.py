@@ -229,28 +229,25 @@ class AuditResult:
 def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
     """Hockey-stick sampling audit (the only qudit-capable check).
 
-    Draws n state pairs with `bloch.random_bloch_vector` (uniform over the
-    valid set for d <= 3, the Hilbert-Schmidt ensemble for d >= 4), pushes
-    them through the channel, and evaluates E_{e^eps} on the outputs. Can
-    refute LDP (max divergence > 1e-9) but never prove it. `extra_pairs`
-    lets a caller drive the audit toward suspected witnesses.
+    Draws all 2n states in one `bloch.random_bloch_vector` batch (uniform
+    over the valid set for d <= 3, by chunked rejection at d = 3; the
+    Hilbert-Schmidt ensemble for d >= 4, drawn state by state) and pairs
+    them as (draw 2i, draw 2i + 1). Pushes the pairs through the
+    channel and evaluates E_{e^eps} on the outputs. Can refute LDP (max
+    divergence > 1e-9) but never prove it. `extra_pairs` lets a caller
+    drive the audit toward suspected witnesses: each is two Bloch vectors
+    of length d^2 - 1 inside the state body, checked like any state, and
+    they are evaluated ahead of the sampled pairs.
     """
     check_channel_budget(eps)
     if n < 1:
         raise InvalidInputError(f"the audit needs n >= 1 pairs, got {n}")
+    extra = [_state_pair(pair, ch.d) for pair in extra_pairs or ()]
     rng = np.random.default_rng(seed)
     gamma = float(np.exp(eps))
-    pairs_w = []
-    pairs_v = []
-    if extra_pairs:
-        for (w, v) in extra_pairs:
-            pairs_w.append(np.asarray(w, dtype=float))
-            pairs_v.append(np.asarray(v, dtype=float))
-    for _ in range(n):
-        pairs_w.append(bloch.random_bloch_vector(ch.d, rng))
-        pairs_v.append(bloch.random_bloch_vector(ch.d, rng))
-    W = np.array(pairs_w)
-    V = np.array(pairs_v)
+    X = bloch.random_bloch_vector(ch.d, rng, size=2 * n)
+    W = np.array([w for w, _ in extra] + list(X[0::2]))
+    V = np.array([v for _, v in extra] + list(X[1::2]))
     out_w = channels.apply(ch, W)
     out_v = channels.apply(ch, V)
     if ch.d == 2:
@@ -271,3 +268,16 @@ def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
         consistent=bool(max_div <= AUDIT_TOL),
         worst_pair=(W[worst], V[worst]),
     )
+
+
+def _state_pair(pair, d):
+    """Two Bloch vectors of states of dimension d, or InvalidInputError /
+    NotAStateError."""
+    try:
+        w, v = (np.asarray(x, dtype=float) for x in pair)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"an extra pair must be two Bloch vectors, got {pair!r}") from exc
+    for x in (w, v):
+        bloch.to_density(x, d)
+    return w, v

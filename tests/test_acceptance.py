@@ -66,7 +66,7 @@ def test_criterion_2_qfi_oracle_agreement():
     etas2 = bloch.generators(2)
     worst = 0.0
     for _ in range(1000):
-        w = bloch.random_bloch_vector(2, rng, radius=0.95)
+        w = 0.95 * bloch.random_bloch_vector(2, rng)
         dw = rng.standard_normal(3)
         a = qfi_qubit(w, dw).value
         b = qfi_qudit(2, w, dw).value

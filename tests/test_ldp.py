@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_qubit_channel
-from qldp import channels, ldp
+from qldp import bloch, channels, divergence, ldp
 from qldp.bounds import bounds_cor1, bounds_thm1, bounds_thm2, qudit_upper_bound
 from qldp.channels import AffineChannel, depolarizing
 from qldp.exceptions import (
@@ -12,6 +12,7 @@ from qldp.exceptions import (
     DivergedError,
     InvalidBudgetError,
     InvalidInputError,
+    NotAStateError,
     OutOfRegimeError,
     UnsupportedDimensionError,
 )
@@ -328,6 +329,63 @@ def test_audit_extra_pairs_drive_refutation(rng):
                             extra_pairs=[cert.witness_pair])
     assert not res.consistent
     assert abs(res.max_divergence - cert.margin / 2.0) < 1e-9
+
+
+def test_audit_rejects_extra_pairs_outside_the_state_body():
+    # pushed through the channel, (+-3, 0, 0) give a divergence of 1.718
+    # that would refute a calibrated channel
+    with pytest.raises(NotAStateError):
+        audit_by_sampling(depolarizing(2, 1.0), 1.0, 5, 0,
+                          extra_pairs=[([3, 0, 0], [-3, 0, 0])])
+
+
+@pytest.mark.parametrize("pair", [([1, 0], [0, 1]), ([0, 0, 1],), (1, 2)])
+def test_audit_rejects_malformed_extra_pairs(pair):
+    with pytest.raises(InvalidInputError):
+        audit_by_sampling(depolarizing(2, 1.0), 1.0, 5, 0, extra_pairs=[pair])
+
+
+def _pair_by_pair_audit(ch, eps, n, seed):
+    """The audit before its states were drawn in one batch, for d >= 4:
+    a Hilbert-Schmidt state for w, then one for v, pair after pair."""
+    d = ch.d
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        return bloch.from_density(rho)
+
+    pairs = [(draw(), draw()) for _ in range(n)]
+    W = np.array([w for w, _ in pairs])
+    V = np.array([v for _, v in pairs])
+    vals = [divergence.hockey_stick(bloch.to_density(w, d),
+                                    bloch.to_density(v, d), float(np.exp(eps)))
+            for w, v in zip(channels.apply(ch, W), channels.apply(ch, V))]
+    worst = int(np.argmax(vals))
+    return vals[worst], W[worst], V[worst]
+
+
+@pytest.mark.parametrize("d, budget", [(4, 1.0), (4, 2.3), (5, 1.0), (5, 1.3)])
+def test_qudit_audit_draws_are_unchanged_from_d_4(d, budget):
+    eps = 1.0
+    res = audit_by_sampling(depolarizing(d, budget), eps, 100, seed=17)
+    worst, w, v = _pair_by_pair_audit(depolarizing(d, budget), eps, 100, 17)
+    assert res.max_divergence == worst
+    assert np.array_equal(res.worst_pair[0], w)
+    assert np.array_equal(res.worst_pair[1], v)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_audit_repeats_for_a_seed(d):
+    # a channel over its audited budget, so the worst pair is not a tie
+    ch = depolarizing(d, 1.0)
+    a, b = (audit_by_sampling(ch, 0.5, 60, seed=23) for _ in range(2))
+    assert a.max_divergence > 0.0
+    assert a.max_divergence == b.max_divergence
+    assert a.consistent == b.consistent
+    assert all(np.array_equal(x, y) for x, y in zip(a.worst_pair, b.worst_pair))
 
 
 def test_margin_monotone_in_budget_for_depolarizing_family():
