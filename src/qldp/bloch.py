@@ -110,16 +110,17 @@ def from_density(rho):
 
 
 def check_density(rho):
-    """Validate density-matrix invariants; raise on violation."""
+    """Validate density-matrix invariants; raise on violation (also on
+    NaN or infinite entries: each test fails on NaN, and inf - inf is NaN)."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise InvalidInputError("matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
+        raise InvalidInputError("matrix is not Hermitian (or not finite)")
+    if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
         raise InvalidInputError(f"trace is {np.trace(rho).real!r}, expected 1")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < POSITIVITY_TOL:
+    if not lo >= POSITIVITY_TOL:
         raise NotAStateError(
             f"matrix has negative eigenvalue {lo:.3e}", eigenvalue=lo
         )

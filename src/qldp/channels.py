@@ -38,6 +38,8 @@ class AffineChannel:
                 f"channel for d={self.d} needs A of shape ({n},{n}) and c of "
                 f"length {n}, got {A.shape} and {c.shape}"
             )
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(c))):
+            raise InvalidInputError("channel A and c must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
 

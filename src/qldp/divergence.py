@@ -15,12 +15,13 @@ HERM_TOL = 1e-10
 
 
 def trace_norm(M):
-    """Sum of absolute eigenvalues of a Hermitian matrix of any size."""
+    """Sum of absolute eigenvalues of a Hermitian matrix of any size; a
+    NaN or infinite entry fails the Hermiticity test (inf - inf is NaN)."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
-    if np.max(np.abs(M - M.conj().T)) > HERM_TOL:
-        raise InvalidInputError("matrix is not Hermitian")
+    if not np.max(np.abs(M - M.conj().T)) <= HERM_TOL:
+        raise InvalidInputError("matrix is not Hermitian (or not finite)")
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))))
 
 

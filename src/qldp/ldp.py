@@ -66,23 +66,6 @@ def _require_qubit(ch):
         )
 
 
-def sup_objective(A, c, g):
-    """The certification objective (1 + g) ||A^T u|| + (1 - g) c^T u with
-    g = e^eps, as the pair (value, gradient) of functions on a (k, 3) batch
-    of unit rows U, returning shape (k,) and (k, 3)."""
-
-    def value(U):
-        return (1.0 + g) * np.linalg.norm(U @ A, axis=1) + (1.0 - g) * (U @ c)
-
-    def gradient(U):
-        atu = U @ A
-        norms = np.linalg.norm(atu, axis=1, keepdims=True)
-        atu = atu / np.where(norms > 0, norms, 1.0)
-        return (1.0 + g) * atu @ A.T + (1.0 - g) * c
-
-    return value, gradient
-
-
 def ldp_sup(ch, eps):
     """Supremum of the certification norm and a maximizing direction u."""
     _require_qubit(ch)
@@ -96,7 +79,18 @@ def ldp_sup(ch, eps):
 
     extra = [u_mat[:, 0], -u_mat[:, 0], -c, c]
     seeds = seed_directions(3, 128, extra=extra)
-    value, gradient = sup_objective(A, c, g)
+
+    # the objective (1 + g) ||A^T u|| + (1 - g) c^T u on a (k, 3) batch of
+    # unit rows U, and its gradient
+    def value(U):
+        return (1.0 + g) * np.linalg.norm(U @ A, axis=1) + (1.0 - g) * (U @ c)
+
+    def gradient(U):
+        atu = U @ A
+        norms = np.linalg.norm(atu, axis=1, keepdims=True)
+        atu = atu / np.where(norms > 0, norms, 1.0)
+        return (1.0 + g) * atu @ A.T + (1.0 - g) * c
+
     return maximize_convex_on_sphere(value, gradient, seeds)
 
 

@@ -14,12 +14,17 @@ raises S. The search therefore moves over A = B P^T, i.e. over B (3 r
 numbers) and c, instead of all 12 entries of (A, c); ||A^T u|| = ||B^T u||
 and A w = B (P^T w), so every score is computed from B directly.
 
-Rank 1 in closed form. With r = 1, B is one column a, ||A^T u|| = |a^T u|
-and, with g = e^eps,
-    S = max_{||u||=1} (1 + g) |a^T u| - (g - 1) c^T u
-      = max(||(1 + g) a - (g - 1) c||, ||(1 + g) a + (g - 1) c||),
-exactly (for a fixed sign of a^T u the maximand is linear in u). With
-r = 2 candidates are scored with a warm-started Frank-Wolfe estimate.
+Exact supremum on the span. As ||B^T u|| = max_{||z||<=1} z^T B^T u,
+swapping the two maximizations gives, with g = e^eps,
+    S = max_{||u||=1} (1 + g) ||B^T u|| - (g - 1) c^T u
+      = max_{||z||=1, z in R^r} ||(1 + g) B z - (g - 1) c||
+(convex in z, so the maximum over the ball is on the sphere). For r = 1,
+z = +-1. For r = 2 the squared norm at z = (cos t, sin t) is a
+trigonometric polynomial of degree 2 in t, whose at most 4 stationary
+angles are the arguments of the roots of a quartic in e^{it}: the
+trust-region subproblem on the circle, solved exactly, hard cases included
+(More and Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983). So every
+candidate of either rank is scored exactly; no Frank-Wolfe runs here.
 
 c = 0 is solved. The feasible set sigma_1(A) <= kappa, with
 kappa = (e^eps - 1) / (e^eps + 1), is the convex hull of kappa O(3). The QFI
@@ -61,46 +66,35 @@ class ChannelSearchResult:
         return dict(vars(self), best_channel=self.best_channel.to_dict())
 
 
-class _WarmSup:
-    """Cheap warm-started estimate of the certification supremum.
-
-    Runs a few Frank-Wolfe iterations of the dual sphere maximization
-    from a persistent block of directions; a lower estimate, so the final
-    candidate is projected with the exact supremum.
-    """
-
-    def __init__(self, g):
-        self.g = g
-        U = np.random.default_rng(1).standard_normal((12, 3))
-        self.U = U / np.linalg.norm(U, axis=1, keepdims=True)
-
-    def __call__(self, B, c):
-        value, gradient = ldp.sup_objective(B, c, self.g)
-        U = self.U
-        for _ in range(6):
-            grad = gradient(U)
-            gn = np.linalg.norm(grad, axis=1, keepdims=True)
-            U = np.where(gn > 0, grad / np.where(gn > 0, gn, 1.0), U)
-        self.U = U
-        return float(np.max(value(U)))
-
-
-def _rank1_sup(g):
-    """The exact certification supremum of A = a p^T (B = a, one column)."""
-
-    def sup(B, c):
-        a = (1.0 + g) * B[:, 0]
-        b = (g - 1.0) * c
-        return max(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
-
-    return sup
-
-
 def _span_basis(w, dw):
     """Orthonormal basis (3 x r) of span{w, dw}; r = 1 when w is parallel
     to dw (up to rounding), 2 otherwise."""
     u, s, _ = np.linalg.svd(np.column_stack([dw, w]))
     return u[:, :1] if s[1] <= 1e-12 * s[0] else u[:, :2]
+
+
+def _span_sup(B, c, g):
+    """The exact certification supremum of A = B P^T at g = e^eps:
+    max over unit z in R^r of ||(1 + g) B z - (g - 1) c||, r = 1 or 2."""
+    b = (g - 1.0) * c
+    if B.shape[1] == 1:
+        a = (1.0 + g) * B[:, 0]
+        return max(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+    a = (1.0 + g) * B
+    # d/dt ||a z - b||^2 / 2 at z = (cos t, sin t) is
+    # -alpha sin 2t + beta cos 2t + gamma sin t - delta cos t; times
+    # 2 e^{2it} it is the quartic below in e^{it}
+    a1, a2 = a[:, 0], a[:, 1]
+    alpha = 0.5 * (a1 @ a1 - a2 @ a2)
+    beta = a1 @ a2
+    gamma = b @ a1
+    delta = b @ a2
+    quartic = [beta + 1j * alpha, -(delta + 1j * gamma), 0.0,
+               -(delta - 1j * gamma), beta - 1j * alpha]
+    # t = 0 stands in when the squared norm is constant (no roots)
+    t = np.append(np.angle(np.roots(quartic)), 0.0)
+    z = np.column_stack([np.cos(t), np.sin(t)])
+    return float(np.max(np.linalg.norm(z @ a.T - b, axis=1)))
 
 
 def _project(A, c, sup, g):
@@ -125,7 +119,7 @@ def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
     """Multi-start coordinate pattern search over (B, c), A = B P^T, at
     g = e^eps. Starts are the depolarizing point shrink * P, random
     perturbations of it and c = 0 rotations of it; candidates are scored at
-    their projection. Returns the best (A, c) found, unprojected, and the
+    their projection. Returns the best (A, c) found, projected, and the
     number of evaluations."""
     P = _span_basis(w, dw)
     n, r = P.shape
@@ -152,18 +146,20 @@ def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
     def split(x):
         return x[:k].reshape(n, r), x[k:]
 
-    def objective(x, sup_fn):
+    def project(x):
         B, c = split(x)
-        return _qfi_of(*_project(B, c, sup_fn(B, c), g), pw, pdw)
+        return _project(B, c, _span_sup(B, c, g), g)
+
+    def objective(x):
+        return _qfi_of(*project(x), pw, pdw)
 
     best_x = dep.copy()
     best_f = -np.inf
     total_evals = 0
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(starts)):
         rng = np.random.default_rng(stream)
-        sup_fn = _rank1_sup(g) if r == 1 else _WarmSup(g)
         x = start_point(i, rng)
-        f = objective(x, sup_fn)
+        f = objective(x)
         evals = 1
         step = 0.1
         while step > 1e-7 and evals < max_evals:
@@ -172,7 +168,7 @@ def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
                 for s in (1.0, -1.0):
                     cand = x.copy()
                     cand[j] += s * step
-                    fc = objective(cand, sup_fn)
+                    fc = objective(cand)
                     evals += 1
                     if fc > f + 1e-12:
                         x, f = cand, fc
@@ -186,7 +182,7 @@ def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
         if f > best_f:
             best_f, best_x = f, x
 
-    B, c = split(best_x)
+    B, c = project(best_x)
     return B @ P.T, c, total_evals
 
 
@@ -198,9 +194,9 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     argument in the module docstring, and no search runs (`evaluations`
     is 0; `starts` and `seed` are echoed). Otherwise a multi-start pattern
     search over A = B P^T restricted to span{w, dw} (6 numbers when w is
-    parallel to dw, scored with the closed-form supremum; 9 otherwise,
-    scored with a warm Frank-Wolfe estimate). Its winner is projected with
-    the exact supremum, certified once and checked for complete
+    parallel to dw, 9 otherwise), every candidate scored at its projection
+    with the exact supremum on the span, not a Frank-Wolfe estimate. The
+    projected winner is certified once and checked for complete
     positivity; the depolarizing channel is reported instead if the winner
     fails either check or falls below it.
     """
@@ -219,8 +215,6 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     if not c_zero:
         A, c, evaluations = _pattern_search(w, dw, g, shrink, starts, seed,
                                             max_evals)
-        sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
-        A, c = _project(A, c, sup, g)
         found = channels.AffineChannel(d=2, A=A, c=c)
         found_qfi = _qfi_of(A, c, w, dw)
         cert = ldp.certify(found, eps)

@@ -1,7 +1,9 @@
 """Multi-start maximization of convex functions over spheres.
 
-Both `image_radius` and the LDP supremum reduce to maximizing
-a convex, positively curved objective over a Euclidean sphere. A convex
+Its two clients, `ldp.ldp_sup` (the LDP supremum) and
+`channels.image_radius`, each maximize a convex, positively curved
+objective over a Euclidean sphere; the channel search scores its
+candidates with its own exact supremum on a circle instead. A convex
 function attains its maximum over a ball on the boundary, and conditional
 gradient (Frank-Wolfe) steps are monotone ascent there: the next iterate
 is the boundary maximizer of the linearization. Multi-start from a

@@ -70,6 +70,15 @@ def test_from_density_rejects_non_hermitian():
         bloch.from_density(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_from_density_rejects_non_finite():
+    one_nan = np.diag([0.9, 0.1])
+    one_nan[0, 1] = np.nan
+    for rho in (np.full((2, 2), np.nan), one_nan, np.diag([np.inf, 0.0])):
+        # inf - inf in the Hermiticity test warns before it fails
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError):
+            bloch.from_density(rho)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_round_trip(d, rng):
     for _ in range(25):

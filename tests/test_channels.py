@@ -50,6 +50,17 @@ def test_apply_dimension_mismatch():
         apply(ch, np.zeros(8))
 
 
+def test_channel_rejects_non_finite_entries():
+    A = 0.5 * np.eye(3)
+    for bad in (np.nan, np.inf, -np.inf):
+        A_bad = A.copy()
+        A_bad[0, 1] = bad
+        with pytest.raises(InvalidInputError):
+            AffineChannel(d=2, A=A_bad, c=np.zeros(3))
+        with pytest.raises(InvalidInputError):
+            AffineChannel(d=2, A=A, c=np.array([0.0, bad, 0.0]))
+
+
 def test_depolarizing_eps_zero_is_constant():
     ch = depolarizing(2, 0.0)
     assert np.allclose(ch.A, 0.0)

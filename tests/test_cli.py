@@ -190,6 +190,25 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
                  ["certify", "--depolarizing", "--dim", "1000000",
                   "--eps", "1"]):
         assert run_cli(capsys, *argv) == (3, ""), argv
+    # a channel or density file with a NaN or infinite entry is bad input
+    A = 0.5 * np.eye(3)
+    A[0, 1] = np.nan
+    nan_channel = tmp_path / "nan_channel.json"
+    nan_channel.write_text(json.dumps({"d": 2, "A": A.tolist(), "c": [0] * 3}))
+    inf_channel = tmp_path / "inf_channel.json"
+    inf_channel.write_text(json.dumps(
+        {"d": 2, "A": (0.5 * np.eye(3)).tolist(), "c": [np.inf, 0, 0]}))
+    for path in (nan_channel, inf_channel):
+        for argv in (["certify", "--channel", str(path), "--eps", "1"],
+                     ["tighteps", "--channel", str(path)],
+                     ["audit", "--channel", str(path), "--eps", "1",
+                      "--n", "3"]):
+            assert run_cli(capsys, *argv) == (3, ""), argv
+    nan_rho = np.diag([0.9, 0.1])
+    nan_rho[0, 0] = np.nan
+    nan_rho = density_file(tmp_path, "nan_rho.json", nan_rho)
+    assert run_cli(capsys, "divergence", "--gamma", "1.5", "--rho", nan_rho,
+                   "--sigma", rho) == (3, "")
 
 
 def test_unknown_flag_rejected():

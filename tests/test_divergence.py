@@ -20,6 +20,20 @@ def test_trace_norm_rejects_non_hermitian():
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_trace_norm_rejects_non_finite():
+    for M in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]),
+              np.diag([np.inf, 1.0])):
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError):
+            trace_norm(M)
+
+
+def test_hockey_stick_rejects_nan_instead_of_clamping_it():
+    rho = np.diag([0.9, 0.1])
+    rho[0, 0] = np.nan
+    with pytest.raises(InvalidInputError):
+        hockey_stick(rho, np.eye(2) / 2, 1.5)
+
+
 def test_trace_norm_random_4x4_matches_eigen_oracle(rng):
     for _ in range(50):
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

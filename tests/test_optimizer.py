@@ -146,7 +146,27 @@ def test_radial_search_does_not_creep_along_a_ridge():
     assert res.best_qfi >= _dep_qfi(fam, 0.6, 2.0)
 
 
-def test_rank1_closed_form_matches_ldp_sup():
+def _circle_max(B, c, g, n=200_000):
+    """max over unit z in R^2 of ||(1 + g) B z - (g - 1) c|| on a dense grid
+    of angles, the best grid angles polished by Newton steps."""
+    a, b = (1.0 + g) * B, (g - 1.0) * c
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    f = np.linalg.norm(np.outer(np.cos(t), a[:, 0])
+                       + np.outer(np.sin(t), a[:, 1]) - b, axis=1)
+    best = float(f.max())
+    for s in t[np.argsort(f)[-4:]]:
+        for _ in range(20):
+            z, dz = np.array([np.cos(s), np.sin(s)]), np.array([-np.sin(s), np.cos(s)])
+            r = a @ z - b
+            slope, curve = (a @ dz) @ r, (a @ dz) @ (a @ dz) - (a @ z) @ r
+            if curve >= 0.0:
+                break
+            s -= slope / curve
+        best = max(best, float(np.linalg.norm(a @ [np.cos(s), np.sin(s)] - b)))
+    return best
+
+
+def test_span_sup_matches_dense_grid_and_ldp_sup():
     rng = np.random.default_rng(11)
     for _ in range(200):
         eps = float(rng.uniform(0.01, 5.0))
@@ -154,10 +174,50 @@ def test_rank1_closed_form_matches_ldp_sup():
         c = rng.standard_normal(3) * rng.uniform(0.0, 0.3)
         p = rng.standard_normal(3)
         p /= np.linalg.norm(p)
-        closed = optimizer._rank1_sup(np.exp(eps))(a[:, None], c)
+        closed = optimizer._span_sup(a[:, None], c, np.exp(eps))
         ch = channels.AffineChannel(d=2, A=np.outer(a, p), c=c)
         sup, _ = ldp.ldp_sup(ch, eps)
         assert abs(closed - sup) <= 1e-12 * sup
+    # rank 2, hard cases included: c orthogonal to the span, c = 0, equal
+    # and nearly equal singular values
+    for k in range(60):
+        eps = float(rng.uniform(0.01, 5.0))
+        g = np.exp(eps)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((3, 2)),
+                                 full_matrices=False)
+        s1 = rng.uniform(0.01, 0.5)
+        kind = k % 6
+        s2 = {0: s1 * (1.0 - rng.uniform(0.0, 1e-6)), 1: s1}.get(
+            kind, rng.uniform(0.0, s1))
+        B = U @ np.diag([s1, s2]) @ Vt
+        c = rng.standard_normal(3) * rng.uniform(0.01, 0.3)
+        if kind in (1, 2):
+            c = np.cross(U[:, 0], U[:, 1]) * rng.uniform(0.01, 0.3)
+        if kind == 3:
+            c = np.zeros(3)
+        exact = optimizer._span_sup(B, c, g)
+        assert abs(exact - _circle_max(B, c, g)) <= 1e-12 * exact
+        P, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=B @ P.T, c=c), eps)
+        assert sup <= exact * (1.0 + 1e-12)
+        if kind != 0:  # Frank-Wolfe may stall at sigma_2 ~ sigma_1 with c
+            assert exact <= sup * (1.0 + 1e-12)
+
+
+def test_rank2_winners_tie_depolarizing_after_exact_projection():
+    """Scored with the exact supremum, the rank-2 search never climbs
+    toward an underestimate of it: its winner keeps its QFI under
+    ldp_sup's projection."""
+    for fam in (rotation_family(), family_by_name("scaled-rotation")):
+        w, dw = fam.point(0.3)
+        for eps in (0.1, 0.5, 1.0, 2.0):
+            g = float(np.exp(eps))
+            shrink = float(channels.depolarizing(2, eps).A[0, 0])
+            A, c, _ = optimizer._pattern_search(w, dw, g, shrink, 8, 0, 20000)
+            sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
+            A, c = optimizer._project(A, c, sup, g)
+            value = qfi_qubit(A @ w + c, A @ dw).value
+            assert value >= (1.0 - 1e-9) * _dep_qfi(fam, 0.3, eps), (fam.label, eps)
 
 
 def test_restriction_to_span_keeps_qfi_and_never_raises_sup():
