@@ -24,6 +24,9 @@ from . import qfi as qfi_mod
 from .exceptions import InvalidInputError, OutOfRegimeError, QldpError
 
 SCHEMA = "qldp/1"
+# a grid and its CSV rows take under 1 MB at the bound, at any dimension
+# (MAX_DIM included); each point costs one bound or one channel search
+MAX_GRID_POINTS = 1000
 
 
 def _json(obj):
@@ -67,8 +70,9 @@ def _parse_grid(spec):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise QldpError(f"bad grid spec {spec!r}; expected lo:hi:n") from exc
-    if not 0 < lo < hi < math.inf or n < 2:
-        raise QldpError(f"bad grid spec {spec!r}: need 0 < lo < hi < inf, n >= 2")
+    if not 0 < lo < hi < math.inf or not 2 <= n <= MAX_GRID_POINTS:
+        raise InvalidInputError(f"bad grid spec {spec!r}: need 0 < lo < hi < inf, "
+                                f"2 <= n <= {MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, n)
 
 
@@ -84,16 +88,16 @@ def _load_density(path):
 
 
 def _get_family(args):
-    d = getattr(args, "dim", None) or 2
-    return qfi_mod.family_by_name(args.family, d=d)
+    d = getattr(args, "dim", None)
+    return qfi_mod.family_by_name(args.family, d=d if d is not None else 2)
 
 
-def _get_channel(args, default_dim=2):
+def _get_channel(args):
     if getattr(args, "channel", None):
         return channels.AffineChannel.load(args.channel)
     if getattr(args, "depolarizing", False):
-        d = getattr(args, "dim", None) or default_dim
-        return channels.depolarizing(d, args.eps)
+        d = getattr(args, "dim", None)
+        return channels.depolarizing(d if d is not None else 2, args.eps)
     raise QldpError("provide --channel <path> or --depolarizing")
 
 

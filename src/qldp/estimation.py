@@ -15,6 +15,9 @@ from .exceptions import InvalidInputError, RankDeficientError
 
 FULL_RANK_TOL = 1e-10
 MAX_COPIES = 2**63 - 1  # the multinomial sampler counts in int64
+# the counts of a run are (trials, d) int64: with the per-trial sums a run
+# peaks at ~260 MB at the bound at MAX_DIM = 16
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,10 @@ def simulate(fam, lam0, ch, n_copies, trials, seed):
     """Run `trials` independent experiments of N = n_copies SLD
     measurements on the privatized state; return empirical statistics
     of the locally unbiased estimator."""
-    if not (1 <= n_copies <= MAX_COPIES and trials >= 1):
+    if not (1 <= n_copies <= MAX_COPIES and 1 <= trials <= MAX_TRIALS):
         raise InvalidInputError(
-            f"need 1 <= n_copies <= {MAX_COPIES} and trials >= 1")
+            f"need 1 <= n_copies <= {MAX_COPIES} and "
+            f"1 <= trials <= {MAX_TRIALS}")
     rho, drho = _privatized_operating_point(fam, lam0, ch)
     meas = sld_measurement(rho, drho)
     fisher = meas.fisher

@@ -34,6 +34,10 @@ from .sphere import maximize_convex_on_sphere, seed_directions
 MARGIN_TOL = 1e-9
 TIGHT_EPS_TOL = 1e-8
 AUDIT_TOL = 1e-9
+# the 2n states are drawn in one batch: at MAX_DIM = 16 it peaks at ~8.5 KB
+# a state (Re and Im of the stacked |psi><psi| and their contraction with
+# the generators), ~0.9 GB at the bound
+MAX_AUDIT_PAIRS = 50_000
 
 
 @dataclass(frozen=True)
@@ -223,19 +227,23 @@ class AuditResult:
 def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
     """Hockey-stick sampling audit (the only qudit-capable check).
 
-    Draws all 2n states in one `bloch.random_bloch_vector` batch (uniform
-    over the valid set for d <= 3, by chunked rejection at d = 3; the
-    Hilbert-Schmidt ensemble for d >= 4, drawn state by state) and pairs
-    them as (draw 2i, draw 2i + 1). Pushes the pairs through the
-    channel and evaluates E_{e^eps} on the outputs. Can refute LDP (max
-    divergence > 1e-9) but never prove it. `extra_pairs` lets a caller
-    drive the audit toward suspected witnesses: each is two Bloch vectors
-    of length d^2 - 1 inside the state body, checked like any state, and
-    they are evaluated ahead of the sampled pairs.
+    E_gamma is jointly convex in (rho, sigma) and the channel is linear, so
+    E_gamma(N(rho) || N(sigma)) is jointly convex in the input pair and its
+    supremum over state pairs sits on pure pairs (Hirche, Rouze and Franca,
+    IEEE Trans. Inf. Theory 2023). The audit therefore draws all 2n states
+    as Haar-random pure states, in one `bloch.random_bloch_vector` batch,
+    and pairs them as (draw 2i, draw 2i + 1). Pushes the pairs through the
+    channel and evaluates E_{e^eps} on the outputs, pair by pair. Can
+    refute LDP (max divergence > 1e-9) but never prove it. `extra_pairs`
+    lets a caller drive the audit toward suspected witnesses: each is two
+    Bloch vectors of length d^2 - 1 inside the state body, checked like
+    any state, and they are evaluated ahead of the sampled pairs.
     """
     check_channel_budget(eps)
-    if n < 1:
-        raise InvalidInputError(f"the audit needs n >= 1 pairs, got {n}")
+    if not 1 <= n <= MAX_AUDIT_PAIRS:
+        raise InvalidInputError(
+            f"the audit needs n >= 1 pairs and at most {MAX_AUDIT_PAIRS}, "
+            f"got {n}")
     extra = [_state_pair(pair, ch.d) for pair in extra_pairs or ()]
     rng = np.random.default_rng(seed)
     gamma = float(np.exp(eps))

@@ -47,7 +47,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, channels, ldp, qfi as qfi_mod
-from .exceptions import InvalidBudgetError, UnsupportedDimensionError, check_budget
+from .exceptions import (
+    InvalidBudgetError,
+    InvalidInputError,
+    UnsupportedDimensionError,
+    check_budget,
+)
+
+# the start streams are spawned as a list, ~1.1 KB each: ~1 MB at the bound
+# (the search is qubit-only, so MAX_DIM does not enter)
+MAX_STARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -205,6 +214,8 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     check_budget(eps)
     if eps <= 0:
         raise InvalidBudgetError(f"eps must be > 0, got {eps}")
+    if starts > MAX_STARTS:
+        raise InvalidInputError(f"at most {MAX_STARTS} starts, got {starts}")
     w, dw = fam.point(lam)
     dep_ch = channels.depolarizing(2, eps)
     dep_qfi = _qfi_of(dep_ch.A, dep_ch.c, w, dw)

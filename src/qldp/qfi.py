@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import bloch
-from .exceptions import InvalidInputError, NearSingularError
+from .exceptions import InvalidDimensionError, InvalidInputError, NearSingularError
 
 BOUNDARY_TOL = 1e-9
 SLD_SUPPORT_TOL = 1e-12
@@ -238,9 +238,13 @@ def _is_csv(path):
 
 
 def family_by_name(name, d=2, **kwargs):
-    """Look up a built-in family by name: radial, rotation,
-    scaled-rotation, or axis-<k> (1-based) at dimension d. Table families
-    are built with `table_family(path)`."""
+    """Look up a built-in family by name: the qubit families radial,
+    rotation and scaled-rotation (InvalidDimensionError for d != 2), or
+    axis-<k> (1-based) at dimension d. Table families are built with
+    `table_family(path)`."""
+    if name in ("radial", "rotation", "scaled-rotation") and d != 2:
+        raise InvalidDimensionError(
+            f"family {name!r} is a qubit family, got d={d!r}")
     if name == "radial":
         return radial_family()
     if name == "rotation":

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import kstest
 
 from qldp import bloch
 from qldp.exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
@@ -115,50 +115,22 @@ def test_valid_states_respect_outer_radius(d, rng):
         assert np.linalg.norm(w) <= r_d + 1e-12
 
 
-def _one_at_a_time(d, rng):
-    """The per-vector sampler the batched one replaced (d <= 3)."""
-    n = d * d - 1
-    r_d = bloch.max_radius(d)
-    while True:
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        w = r_d * rng.random() ** (1.0 / n) * u
-        if d == 2:
-            return w
-        try:
-            bloch.to_density(w, d)
-        except NotAStateError:
-            continue
-        return w
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_random_bloch_vector_shapes_and_states(d, rng):
     n = d * d - 1
     assert bloch.random_bloch_vector(d, rng).shape == (n,)
     for k in (0, 1, 7):
         assert bloch.random_bloch_vector(d, rng, size=k).shape == (k, n)
+    # every draw is a pure state: on the outer sphere, with eigenvalue 1
     for w in bloch.random_bloch_vector(d, rng, size=300):
-        bloch.to_density(w, d)
+        assert abs(np.linalg.norm(w) - bloch.max_radius(d)) < 1e-12
+        assert abs(np.linalg.eigvalsh(bloch.to_density(w, d))[-1] - 1.0) < 1e-12
 
 
-def test_single_qubit_draw_repeats_the_one_at_a_time_stream():
-    batched, single = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(500):
-        assert np.array_equal(bloch.random_bloch_vector(2, batched),
-                              _one_at_a_time(2, single))
-
-
-def test_qutrit_batch_matches_one_at_a_time_in_distribution():
-    # the chunked rejection keeps the uniform ensemble of the state body:
-    # compare the radius and the smallest eigenvalue, two-sample KS
-    new = bloch.random_bloch_vector(3, np.random.default_rng(11), size=2000)
-    rng = np.random.default_rng(12)
-    old = np.array([_one_at_a_time(3, rng) for _ in range(2000)])
-    lam_new, lam_old = (
-        np.array([np.linalg.eigvalsh(bloch.to_density(w, 3))[0] for w in ws])
-        for ws in (new, old))
-    assert lam_new.min() >= bloch.POSITIVITY_TOL
-    assert ks_2samp(np.linalg.norm(new, axis=1),
-                    np.linalg.norm(old, axis=1)).pvalue > 0.01
-    assert ks_2samp(lam_new, lam_old).pvalue > 0.01
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_random_bloch_vector_is_haar(d):
+    # for Haar psi and a fixed pure phi, |<phi|psi>|^2 = trace(rho sigma)
+    # = 1/d + (1/2) w.u is Beta(1, d - 1)
+    u = bloch.from_density(np.diag(np.eye(d)[0]).astype(complex))
+    w = bloch.random_bloch_vector(d, np.random.default_rng(31), size=2000)
+    assert kstest(1.0 / d + 0.5 * w @ u, "beta", args=(1, d - 1)).pvalue > 0.01

@@ -190,6 +190,25 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
                  ["certify", "--depolarizing", "--dim", "1000000",
                   "--eps", "1"]):
         assert run_cli(capsys, *argv) == (3, ""), argv
+    # counts past their bounds are refused before anything is allocated
+    huge = "1000000000000"
+    for argv in (["scaling", "--family", "radial", "--lambda", "0.6",
+                  "--alpha", "0.01", "--eps-grid", f"0.01:0.5:{huge}"],
+                 ["simulate", "--family", "radial", "--lambda0", "0.6",
+                  "--eps", "0.5", "--trials", huge],
+                 ["audit", "--depolarizing", "--dim", "3", "--eps", "1",
+                  "--n", huge],
+                 ["optimize", "--family", "radial", "--lambda", "0.6",
+                  "--eps", "0.5", "--starts", huge]):
+        assert run_cli(capsys, *argv) == (3, ""), argv
+    # --dim means what it says: no silent qubit for d = 0 or a qubit family
+    for argv in (["qfi", "--family", "axis-1", "--dim", "0", "--lambda", "0.1"],
+                 ["audit", "--depolarizing", "--dim", "0", "--eps", "1",
+                  "--n", "3"],
+                 ["qfi", "--family", "radial", "--dim", "3", "--lambda", "0.5"],
+                 ["bounds", "--family", "radial", "--lambda", "0.6",
+                  "--alpha", "0.01", "--eps", "0.5", "--dim", "3"]):
+        assert run_cli(capsys, *argv) == (3, ""), argv
     # a channel or density file with a NaN or infinite entry is bad input
     A = 0.5 * np.eye(3)
     A[0, 1] = np.nan

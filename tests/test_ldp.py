@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_qubit_channel
-from qldp import bloch, channels, divergence, ldp
+from qldp import channels, ldp
 from qldp.bounds import bounds_cor1, bounds_thm1, bounds_thm2, qudit_upper_bound
 from qldp.channels import AffineChannel, depolarizing
 from qldp.exceptions import (
@@ -345,36 +345,41 @@ def test_audit_rejects_malformed_extra_pairs(pair):
         audit_by_sampling(depolarizing(2, 1.0), 1.0, 5, 0, extra_pairs=[pair])
 
 
-def _pair_by_pair_audit(ch, eps, n, seed):
-    """The audit before its states were drawn in one batch, for d >= 4:
-    a Hilbert-Schmidt state for w, then one for v, pair after pair."""
-    d = ch.d
-    rng = np.random.default_rng(seed)
-
-    def draw():
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        return bloch.from_density(rho)
-
-    pairs = [(draw(), draw()) for _ in range(n)]
-    W = np.array([w for w, _ in pairs])
-    V = np.array([v for _, v in pairs])
-    vals = [divergence.hockey_stick(bloch.to_density(w, d),
-                                    bloch.to_density(v, d), float(np.exp(eps)))
-            for w, v in zip(channels.apply(ch, W), channels.apply(ch, V))]
-    worst = int(np.argmax(vals))
-    return vals[worst], W[worst], V[worst]
+def _depolarizing_audit_sup(d, budget, eps):
+    """Supremum over state pairs of E_{e^eps} for depolarizing(d, budget):
+    (1 - p) - (e^eps - 1) p / d, p = d / (d - 1 + e^budget), attained on
+    orthogonal pure pairs."""
+    p = d / (d - 1 + np.exp(budget))
+    return (1.0 - p) - np.expm1(eps) * p / d
 
 
-@pytest.mark.parametrize("d, budget", [(4, 1.0), (4, 2.3), (5, 1.0), (5, 1.3)])
-def test_qudit_audit_draws_are_unchanged_from_d_4(d, budget):
-    eps = 1.0
-    res = audit_by_sampling(depolarizing(d, budget), eps, 100, seed=17)
-    worst, w, v = _pair_by_pair_audit(depolarizing(d, budget), eps, 100, 17)
-    assert res.max_divergence == worst
-    assert np.array_equal(res.worst_pair[0], w)
-    assert np.array_equal(res.worst_pair[1], v)
+def test_audit_refutes_the_d5_depolarizing_counterexample():
+    # interior (mixed) draws read 6.7e-16 here; pure ones find the violation
+    res = audit_by_sampling(depolarizing(5, 1.3), 1.0, 1000, seed=0)
+    assert not res.consistent
+    assert res.max_divergence >= 0.9 * _depolarizing_audit_sup(5, 1.3, 1.0)
+
+
+# (d, audited eps, channel budget): the benchmark's planted violators
+VIOLATORS = [(3, 0.5, 0.8), (3, 0.5, 1.0), (4, 0.5, 0.8), (4, 2.0, 2.3),
+             (5, 0.5, 1.0), (5, 1.0, 1.3)]
+
+
+@pytest.mark.parametrize("d, eps, budget", VIOLATORS)
+def test_audit_refutes_planted_violators_below_their_supremum(d, eps, budget):
+    sup = _depolarizing_audit_sup(d, budget, eps)
+    for seed in range(10):
+        res = audit_by_sampling(depolarizing(d, budget), eps, 200, seed=seed)
+        assert not res.consistent, seed
+        assert res.max_divergence <= sup + 1e-12, seed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_audit_never_refutes_calibrated_channels(d):
+    for eps in (0.3, 1.0, 2.5):
+        for seed in range(10):
+            res = audit_by_sampling(depolarizing(d, eps), eps, 200, seed=seed)
+            assert res.consistent, (eps, seed)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
