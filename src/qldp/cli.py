@@ -218,9 +218,14 @@ def cmd_optimize_sweep(args):
 
 def cmd_report(args):
     fam = _get_family(args)
+    grid = _parse_grid(args.eps_grid)
+    # refuse the counts before any file of the bundle is written
+    if not (1 <= args.trials <= estimation.MAX_TRIALS
+            and args.starts <= opt_mod.MAX_STARTS):
+        raise InvalidInputError(f"need 1 <= trials <= {estimation.MAX_TRIALS} "
+                                f"and starts <= {opt_mod.MAX_STARTS}")
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
-    grid = _parse_grid(args.eps_grid)
 
     def to(name, **extra):
         return argparse.Namespace(**vars(args), **extra,

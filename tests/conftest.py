@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qldp import AffineChannel, image_radius
+from qldp import AffineChannel, bloch, image_radius
 
 
 def random_qubit_channel(rng, fill=None):
@@ -12,6 +12,13 @@ def random_qubit_channel(rng, fill=None):
     r = image_radius(AffineChannel(2, A, c))
     s = (fill if fill is not None else rng.uniform(0.2, 1.0)) / max(r, 1e-12)
     return AffineChannel(2, s * A, s * c)
+
+
+def random_mixed_bloch_vector(d, rng):
+    """Random mixed qudit state with a generic spectrum: d Haar pure states
+    mixed with Dirichlet weights. At d = 2 the radius is random too."""
+    p = rng.dirichlet(np.ones(d))
+    return p @ bloch.random_bloch_vector(d, rng, size=d)
 
 
 @pytest.fixture

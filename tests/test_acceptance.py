@@ -25,7 +25,7 @@ from qldp.qfi import (
     rotation_family,
 )
 
-from conftest import random_qubit_channel
+from conftest import random_mixed_bloch_vector, random_qubit_channel
 
 
 def _report(name, ok, detail=""):
@@ -66,7 +66,7 @@ def test_criterion_2_qfi_oracle_agreement():
     etas2 = bloch.generators(2)
     worst = 0.0
     for _ in range(1000):
-        w = 0.95 * bloch.random_bloch_vector(2, rng)
+        w = 0.95 * random_mixed_bloch_vector(2, rng)
         dw = rng.standard_normal(3)
         a = qfi_qubit(w, dw).value
         b = qfi_qudit(2, w, dw).value
@@ -78,7 +78,7 @@ def test_criterion_2_qfi_oracle_agreement():
     for d in (3, 4):
         etas = bloch.generators(d)
         for _ in range(200):
-            w = 0.9 * bloch.random_bloch_vector(d, rng)
+            w = 0.9 * random_mixed_bloch_vector(d, rng)
             dw = rng.standard_normal(d * d - 1)
             a = qfi_qudit(d, w, dw).value
             rho = bloch.to_density(w, d)

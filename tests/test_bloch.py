@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from conftest import random_mixed_bloch_vector
 from qldp import bloch
 from qldp.exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
 
@@ -81,8 +82,8 @@ def test_from_density_rejects_non_finite():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_round_trip(d, rng):
-    for _ in range(25):
-        w = bloch.random_bloch_vector(d, rng)
+    for w in [random_mixed_bloch_vector(d, rng) for _ in range(25)] \
+            + list(bloch.random_bloch_vector(d, rng, size=25)):
         rho = bloch.to_density(w, d)
         assert np.max(np.abs(bloch.from_density(rho) - w)) < 1e-12
         # and the other direction
@@ -109,10 +110,15 @@ def test_purity_iff_unit_norm(rng):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_valid_states_respect_outer_radius(d, rng):
+    # trace(rho^2) = 1/d + |w|^2 / 2, so |w| <= r_d with equality iff pure
     r_d = bloch.max_radius(d)
     for _ in range(50):
-        w = bloch.random_bloch_vector(d, rng)
-        assert np.linalg.norm(w) <= r_d + 1e-12
+        w = random_mixed_bloch_vector(d, rng)
+        rho = bloch.to_density(w, d)
+        purity = np.trace(rho @ rho).real
+        assert abs(purity - (1.0 / d + 0.5 * w @ w)) < 1e-12
+        assert np.linalg.eigvalsh(rho)[0] > -1e-12
+        assert np.linalg.norm(w) < r_d - 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -201,6 +201,12 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
                  ["optimize", "--family", "radial", "--lambda", "0.6",
                   "--eps", "0.5", "--starts", huge]):
         assert run_cli(capsys, *argv) == (3, ""), argv
+    # the report refuses its counts before it writes any part of the bundle
+    for flag in ("--trials", "--starts"):
+        bundle = tmp_path / f"bundle{flag}"
+        assert run_cli(capsys, "report", "--family", "radial", "--out-dir",
+                       str(bundle), flag, huge) == (3, ""), flag
+        assert not bundle.exists(), flag
     # --dim means what it says: no silent qubit for d = 0 or a qubit family
     for argv in (["qfi", "--family", "axis-1", "--dim", "0", "--lambda", "0.1"],
                  ["audit", "--depolarizing", "--dim", "0", "--eps", "1",

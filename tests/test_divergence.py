@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_mixed_bloch_vector
 from qldp import bloch
 from qldp.divergence import hockey_stick, hockey_stick_qubit, trace_norm
 from qldp.exceptions import InvalidInputError
@@ -62,7 +63,7 @@ def test_hockey_stick_trace_distance_example():
 
 
 def test_hockey_stick_equal_states_vanishes(rng):
-    w = bloch.random_bloch_vector(2, rng)
+    w = random_mixed_bloch_vector(2, rng)
     rho = bloch.to_density(w)
     for gamma in (1.0, 1.5, 3.0):
         assert abs(hockey_stick(rho, rho, gamma)) < 1e-15
@@ -80,8 +81,8 @@ def test_hockey_stick_qubit_clipped_example():
 
 def test_qubit_closed_form_agrees_with_generic_path(rng):
     for _ in range(10000):
-        w = bloch.random_bloch_vector(2, rng)
-        v = bloch.random_bloch_vector(2, rng)
+        w = random_mixed_bloch_vector(2, rng)
+        v = random_mixed_bloch_vector(2, rng)
         gamma = 1.0 + 3.0 * rng.random()
         closed = hockey_stick_qubit(w, v, gamma)
         generic = hockey_stick(bloch.to_density(w), bloch.to_density(v), gamma)
@@ -112,8 +113,8 @@ def test_rejects_dimension_mismatch():
 @example(seed=1754, g1=1.0, g2=4.3984375)
 def test_monotone_in_gamma_and_bounded_by_trace_distance(seed, g1, g2):
     rng = np.random.default_rng(seed)
-    rho = bloch.to_density(bloch.random_bloch_vector(2, rng))
-    sigma = bloch.to_density(bloch.random_bloch_vector(2, rng))
+    rho = bloch.to_density(random_mixed_bloch_vector(2, rng))
+    sigma = bloch.to_density(random_mixed_bloch_vector(2, rng))
     lo, hi = sorted([g1, g2])
     e_lo = hockey_stick(rho, sigma, lo)
     e_hi = hockey_stick(rho, sigma, hi)

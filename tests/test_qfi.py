@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_mixed_bloch_vector
 from qldp import bloch, channels
 from qldp.exceptions import InvalidInputError, NearSingularError, NotAStateError
 from qldp.qfi import (
@@ -51,7 +52,7 @@ def test_qubit_rejects_outside_ball():
 
 def test_qudit_matches_qubit_closed_form(rng):
     for _ in range(1000):
-        w = bloch.random_bloch_vector(2, rng) * 0.999
+        w = random_mixed_bloch_vector(2, rng) * 0.999
         dw = rng.standard_normal(3)
         f1 = qfi_qubit(w, dw).value
         f2 = qfi_qudit(2, w, dw).value
@@ -70,7 +71,7 @@ def test_qudit_mixed_point_factor():
 def test_qudit_agrees_with_sld_oracle(rng):
     for d in (3, 4):
         for _ in range(100):
-            w = bloch.random_bloch_vector(d, rng) * 0.9
+            w = random_mixed_bloch_vector(d, rng) * 0.9
             dw = 0.5 * rng.standard_normal(d * d - 1)
             f = qfi_qudit(d, w, dw).value
             oracle = qfi_sld_oracle(bloch.to_density(w, d), drho_from(dw, d))
@@ -140,7 +141,7 @@ def test_family_derivative_domain_violation():
 
 
 def test_qfi_zero_iff_zero_derivative(rng):
-    w = 0.5 * bloch.random_bloch_vector(2, rng)
+    w = 0.5 * random_mixed_bloch_vector(2, rng)
     assert qfi_qubit(w, np.zeros(3)).value == 0.0
     dw = rng.standard_normal(3)
     assert qfi_qubit(w, dw).value > 0.0
