@@ -15,7 +15,8 @@ from .exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
-MAX_DIM = 16  # the qudit QFI's anticommutator tensor takes ~270 MB at d = 16
+# ldp.MAX_AUDIT_PAIRS and estimation.MAX_TRIALS are sized at this dimension
+MAX_DIM = 16
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

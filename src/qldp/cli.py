@@ -113,7 +113,6 @@ def cmd_qfi(args):
         "lambda": args.lam,
         "value": res.value,
         "branch": res.branch,
-        "regularization_used": res.regularization_used,
     })
     return 0
 

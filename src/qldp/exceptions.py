@@ -69,14 +69,6 @@ class DivergedError(OutOfRegimeError):
     a channel that is not LDP at any budget up to MAX_CHANNEL_BUDGET."""
 
 
-class NearSingularError(QldpError):
-    """The qudit information matrix M(w) is numerically singular."""
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
-
 class RankDeficientError(QldpError):
     """SLD measurement requested at a rank-deficient operating state."""
 

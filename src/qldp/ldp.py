@@ -268,7 +268,8 @@ def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
         seed=int(seed),
         max_divergence=max_div,
         consistent=bool(max_div <= AUDIT_TOL),
-        worst_pair=(W[worst], V[worst]),
+        # copies: row views would keep the whole batch alive
+        worst_pair=(W[worst].copy(), V[worst].copy()),
     )
 
 

@@ -1,19 +1,18 @@
 """Quantum Fisher information for scalar parameter families.
 
-Three routes are provided and cross-checked in the tests:
+Two routes are provided and cross-checked in the tests:
   * the qubit closed form in Bloch coordinates,
-  * the qudit quadratic form through M(w) = (2/d) I - w w^T + G(w),
-  * an SLD eigen-decomposition oracle working directly on matrices.
+  * the SLD eigen-decomposition, for qudits in Bloch coordinates
+    (`qfi_qudit`) and for density matrices (`qfi_sld_oracle`).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
 
 from . import bloch
-from .exceptions import InvalidDimensionError, InvalidInputError, NearSingularError
+from .exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
 
 BOUNDARY_TOL = 1e-9
 SLD_SUPPORT_TOL = 1e-12
@@ -23,7 +22,6 @@ SLD_SUPPORT_TOL = 1e-12
 class QfiResult:
     value: float
     branch: str  # "interior" or "boundary"
-    regularization_used: bool = False
 
     def __float__(self):
         return self.value
@@ -80,56 +78,34 @@ def qfi_qubit(w, dw):
     return QfiResult(value=dd + inner * inner / (1.0 - r * r), branch="interior")
 
 
-@lru_cache(maxsize=None)
-def anticommutator_coefficients(d):
-    """Cached tensor T[i,j,k] = (1/4) trace((eta_i eta_j + eta_j eta_i) eta_k),
-    computed numerically from the generators. Read-only."""
-    etas = np.asarray(bloch.generators(d))
-    prod = np.einsum("iab,jbc->ijac", etas, etas)
-    anti = prod + np.transpose(prod, (1, 0, 2, 3))
-    T = 0.25 * np.real(np.einsum("ijab,kba->ijk", anti, etas))
-    T.setflags(write=False)
-    return T
-
-
-def information_matrix(d, w):
-    """M(w) = (2/d) I - w w^T + G(w) with G_ij = sum_k T[i,j,k] w_k."""
-    w = np.asarray(w, dtype=float)
-    n = d * d - 1
-    if w.shape != (n,):
-        raise InvalidInputError(f"expected Bloch vector of length {n}")
-    T = anticommutator_coefficients(d)
-    G = np.tensordot(T, w, axes=(2, 0))
-    return (2.0 / d) * np.eye(n) - np.outer(w, w) + G
-
-
-def qfi_qudit(d, w, dw, regularize=False):
-    """Qudit QFI as the quadratic form dw^T M(w)^{-1} dw in the interior,
-    ||dw||^2 on the outer boundary."""
+def qfi_qudit(d, w, dw):
+    """Qudit QFI by the SLD route: ||dw||^2 on the outer (pure) boundary;
+    in the interior, one eigh of rho = I/d + (1/2) w.eta, which raises
+    NotAStateError below bloch.POSITIVITY_TOL (as `to_density` does) and
+    gives the SLD basis for drho = (1/2) dw.eta."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    r = float(np.linalg.norm(w))
-    r_d = bloch.max_radius(d)
-    if r >= r_d - BOUNDARY_TOL:
+    n = d * d - 1
+    if w.shape != (n,) or dw.shape != (n,) or not np.isfinite([w, dw]).all():
+        raise InvalidInputError(
+            f"expected two finite Bloch vectors of length {n}, got shapes "
+            f"{w.shape} and {dw.shape}")
+    if float(np.linalg.norm(w)) >= bloch.max_radius(d) - BOUNDARY_TOL:
         return QfiResult(value=float(dw @ dw), branch="boundary")
-    M = information_matrix(d, w)
-    lo = float(np.linalg.eigvalsh(M)[0])
-    if lo < SLD_SUPPORT_TOL:
-        if not regularize:
-            raise NearSingularError(
-                f"information matrix is near singular (min eigenvalue {lo:.3e}); "
-                "retry with regularize=True",
-                eigenvalue=lo,
-            )
-        M = M + 1e-10 * np.eye(M.shape[0])
-    x = np.linalg.solve(M, dw)
-    return QfiResult(value=float(dw @ x), branch="interior",
-                     regularization_used=bool(lo < SLD_SUPPORT_TOL))
+    # rho - I/d and drho in one product with the flattened generators
+    rho, drho = (0.5 * np.array([w, dw]) @ bloch.generators(d).reshape(n, -1)
+                 ).reshape(2, d, d)
+    p, V = np.linalg.eigh(rho + np.eye(d) / d)
+    if p[0] < bloch.POSITIVITY_TOL:
+        raise NotAStateError(
+            f"Bloch vector is outside the state body (min eigenvalue "
+            f"{p[0]:.3e})", eigenvalue=float(p[0]))
+    return QfiResult(value=_sld_sum(p, V, drho), branch="interior")
 
 
 def qfi_sld_oracle(rho, drho):
-    """SLD-route QFI: F = sum_{j,k} 2 |<j|drho|k>|^2 / (p_j + p_k) over the
-    support (pairs with p_j + p_k <= 1e-12 dropped)."""
+    """SLD-route QFI of a density matrix and a Hermitian, traceless
+    derivative matrix."""
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     if np.max(np.abs(drho - drho.conj().T)) > 1e-10:
@@ -139,6 +115,13 @@ def qfi_sld_oracle(rho, drho):
             f"derivative matrix must be traceless, got trace {np.trace(drho)!r}"
         )
     p, V = np.linalg.eigh(rho)
+    return _sld_sum(p, V, drho)
+
+
+def _sld_sum(p, V, drho):
+    """F = sum_{j,k} 2 |<j|drho|k>|^2 / (p_j + p_k) in the eigenbasis V of
+    rho (eigenvalues p), over the support: pairs with p_j + p_k <= 1e-12
+    are dropped (Braunstein and Caves, PRL 72, 3439, 1994)."""
     D = V.conj().T @ drho @ V
     psum = p[:, None] + p[None, :]
     mask = psum > SLD_SUPPORT_TOL

@@ -38,6 +38,7 @@ def test_qfi_json(capsys):
     assert doc["config"]["lam"] == 0.6
     assert abs(doc["result"]["value"] - 1.5625) < 1e-12
     assert doc["result"]["branch"] == "interior"
+    assert "regularization_used" not in doc["result"]
 
 
 def test_certify_depolarizing_tight(capsys):

@@ -393,6 +393,11 @@ def test_audit_repeats_for_a_seed(d):
     assert all(np.array_equal(x, y) for x, y in zip(a.worst_pair, b.worst_pair))
 
 
+def test_audit_worst_pair_does_not_hold_the_batch():
+    res = audit_by_sampling(depolarizing(16, 1.0), 1.0, 50, seed=0)
+    assert all(x.base is None and x.shape == (255,) for x in res.worst_pair)
+
+
 def test_margin_monotone_in_budget_for_depolarizing_family():
     ch = depolarizing(2, 1.0)
     eps_grid = np.linspace(0.2, 2.0, 10)

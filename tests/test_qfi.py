@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_sylvester
 
 from conftest import random_mixed_bloch_vector
 from qldp import bloch, channels
-from qldp.exceptions import InvalidInputError, NearSingularError, NotAStateError
+from qldp.exceptions import InvalidInputError, NotAStateError
 from qldp.qfi import (
     StateFamily,
-    anticommutator_coefficients,
     family_by_name,
     family_derivative,
     qfi_family,
@@ -96,17 +98,61 @@ def test_sld_oracle_rejects_traceful_derivative():
         qfi_sld_oracle(rho, np.eye(2))
 
 
-def test_near_singular_rank_deficient_qutrit():
-    # rank-2 qutrit state strictly inside the outer sphere: M is singular
-    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+def test_rank_deficient_qutrit_gets_the_support_value():
+    # rank-2 qutrit state strictly inside the outer sphere, moving inside
+    # its support: the embedded qubit closed form
+    rho = np.diag([0.7, 0.3, 0.0]).astype(complex)
     w = bloch.from_density(rho)
     assert np.linalg.norm(w) < bloch.max_radius(3) - 1e-3
     dw = np.zeros(8)
-    dw[1] = 1.0
-    with pytest.raises(NearSingularError):
-        qfi_qudit(3, w, dw)
-    res = qfi_qudit(3, w, dw, regularize=True)
-    assert res.regularization_used
+    dw[0] = 1.0  # the (0, 1) symmetric generator
+    res = qfi_qudit(3, w, dw)
+    assert res.branch == "interior"
+    expected = qfi_qubit(np.array([0.0, 0.0, 0.4]), np.array([1.0, 0.0, 0.0]))
+    assert abs(expected.value - 1.0) < 1e-15
+    assert abs(res.value - expected.value) < 1e-12
+
+
+def test_qudit_rejects_non_states_and_bad_shapes():
+    with pytest.raises(NotAStateError):  # inside the outer sphere
+        qfi_qudit(3, np.r_[np.zeros(7), 0.9], np.ones(8))
+    for w, dw in ((np.zeros(3), np.ones(8)), (np.full(8, np.nan), np.ones(8)),
+                  (np.zeros(8), np.r_[np.inf, np.zeros(7)])):
+        with pytest.raises(InvalidInputError):
+            qfi_qudit(3, w, dw)
+
+
+def _sylvester_qfi(rho, drho):
+    """Tr(rho L^2) with the SLD L solved from rho L + L rho = 2 drho."""
+    L = solve_sylvester(rho, rho, 2.0 * drho)
+    return float(np.trace(rho @ L @ L).real)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_qudit_agrees_with_sylvester_sld(rng, d):
+    for _ in range(50):
+        w = random_mixed_bloch_vector(d, rng)
+        dw = rng.standard_normal(d * d - 1)
+        f = qfi_qudit(d, w, dw).value
+        oracle = _sylvester_qfi(bloch.to_density(w, d), drho_from(dw, d))
+        assert abs(f - oracle) <= 1e-10 * oracle
+
+
+def test_qudit_at_max_dim_is_commuting_closed_form_and_small():
+    # axis-1 moves along a generator that commutes with the state:
+    # F = sum (mu/2)^2 / (1/d + lam mu/2) over its spectrum mu
+    d, lam = bloch.MAX_DIM, 0.1
+    mu = np.linalg.eigvalsh(bloch.generators(d)[0])
+    expected = float(np.sum((mu / 2) ** 2 / (1 / d + lam * mu / 2)))
+    assert abs(expected - 200 / 9) < 1e-12
+    tracemalloc.start()
+    try:
+        res = qfi_family(family_by_name("axis-1", d=d), lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.value - expected) < 1e-12 * expected
+    assert peak < 50e6
 
 
 def test_family_derivative_linear_family_exact():
@@ -214,9 +260,3 @@ def test_point_is_the_family_input_boundary():
     w, dw = fam.point(1.0)  # the pure boundary is a state
     assert np.array_equal(w, [0.0, 0.0, 1.0]) and np.array_equal(dw, [0, 0, 1])
     assert qfi_family(fam, 1.0).branch == "boundary"
-
-
-def test_anticommutator_coefficients_cached_and_read_only():
-    T = anticommutator_coefficients(3)
-    assert T is anticommutator_coefficients(3)
-    assert not T.flags.writeable
