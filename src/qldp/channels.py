@@ -1,8 +1,9 @@
 """Affine Bloch-space representation of quantum channels.
 
 A channel acts on Bloch vectors as w -> A w + c. Includes the depolarizing
-mechanism calibrated to a privacy budget, the image radius (the largest
-output Bloch radius), and a Choi-matrix complete-positivity check for qubits.
+mechanism calibrated to a privacy budget, the exact image radius (the
+largest output Bloch radius, by `sphere.max_norm_on_sphere`), and a
+complete-positivity check for qubits on the Choi matrix in closed form.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from .exceptions import (
     UnsupportedDimensionError,
     check_channel_budget,
 )
-from .sphere import maximize_convex_on_sphere, seed_directions
+from .sphere import max_norm_on_sphere
 
 CHOI_TOL = -1e-10
 
@@ -91,29 +92,9 @@ def image_radius(ch):
     """Maximum of ||A w + c|| over the outer ball ||w|| <= r_d.
 
     The objective is convex in w, so the maximum sits on the sphere
-    ||w|| = r_d; solved by multi-start Frank-Wolfe ascent from a
-    deterministic seed set plus the top singular directions of A.
+    ||w|| = r_d: the exact max over unit z of ||r_d A z + c||.
     """
-    r = bloch.max_radius(ch.d)
-    A, c = ch.A, ch.c
-    _, _, vt = np.linalg.svd(A)
-    extra = [vt[0], -vt[0]]
-    if np.linalg.norm(c) > 0:
-        atc = A.T @ c
-        extra += [c, -c, atc, -atc]
-    seeds = seed_directions(A.shape[0], 256, extra=extra)
-
-    def value(U):
-        return np.linalg.norm(r * U @ A.T + c, axis=1)
-
-    def gradient(U):
-        y = r * U @ A.T + c
-        norms = np.linalg.norm(y, axis=1, keepdims=True)
-        y = y / np.where(norms > 0, norms, 1.0)
-        return y @ A
-
-    best, _ = maximize_convex_on_sphere(value, gradient, seeds)
-    return best
+    return max_norm_on_sphere(bloch.max_radius(ch.d) * ch.A, -ch.c)
 
 
 def cp_check(ch):
@@ -122,28 +103,18 @@ def cp_check(ch):
     The affine pair (A, c) extends to the linear map
     X -> (tr X)(I + c.sigma)/2 + (1/2)(A w_X).sigma with
     w_X,i = tr(X sigma_i). Returns (min_eig >= -1e-10, min_eig) for the
-    Choi matrix sum_jk |j><k| (x) Phi(|j><k|).
+    Choi matrix sum_jk |j><k| (x) Phi(|j><k|), which is
+    (1/2) I (x) (I + c.sigma) + (1/2) sum_il A_il sigma_l^T (x) sigma_i.
     """
     if ch.d != 2:
         raise UnsupportedDimensionError(
             "complete-positivity check is only supported for qubits"
         )
     sig = bloch.generators(2)
-    eye = np.eye(2, dtype=complex)
-
-    def phi(X):
-        # complex-linear extension: the Pauli coefficients of a general
-        # 2x2 matrix are complex
-        wx = np.einsum("ab,iba->i", X, sig)
-        out = np.trace(X) * 0.5 * (eye + np.tensordot(ch.c, sig, axes=(0, 0)))
-        out = out + 0.5 * np.tensordot(ch.A @ wx, sig, axes=(0, 0))
-        return out
-
-    choi = np.zeros((4, 4), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[j, k] = 1.0
-            choi += np.kron(E, phi(E))
+    eye = np.eye(2)
+    # sum_jk |j><k| tr(|j><k|) = I and sum_jk |j><k| tr(|j><k| sigma_l)
+    # = sigma_l^T
+    choi = (np.kron(eye, 0.5 * (eye + np.tensordot(ch.c, sig, axes=(0, 0))))
+            + 0.5 * np.einsum("il,lba,icd->acbd", ch.A, sig, sig).reshape(4, 4))
     lo = float(np.linalg.eigvalsh(choi)[0])
     return lo >= CHOI_TOL, lo

@@ -82,7 +82,7 @@ def ldp_sup(ch, eps):
         return (1.0 + g) * float(s[0]), u_mat[:, 0]
 
     extra = [u_mat[:, 0], -u_mat[:, 0], -c, c]
-    seeds = seed_directions(3, 128, extra=extra)
+    seeds = seed_directions(128, extra=extra)
 
     # the objective (1 + g) ||A^T u|| + (1 - g) c^T u on a (k, 3) batch of
     # unit rows U, and its gradient

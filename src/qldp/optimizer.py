@@ -19,12 +19,9 @@ swapping the two maximizations gives, with g = e^eps,
     S = max_{||u||=1} (1 + g) ||B^T u|| - (g - 1) c^T u
       = max_{||z||=1, z in R^r} ||(1 + g) B z - (g - 1) c||
 (convex in z, so the maximum over the ball is on the sphere). For r = 1,
-z = +-1. For r = 2 the squared norm at z = (cos t, sin t) is a
-trigonometric polynomial of degree 2 in t, whose at most 4 stationary
-angles are the arguments of the roots of a quartic in e^{it}: the
-trust-region subproblem on the circle, solved exactly, hard cases included
-(More and Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983). So every
-candidate of either rank is scored exactly; no Frank-Wolfe runs here.
+z = +-1. For r = 2 it is the trust-region subproblem on the circle,
+solved exactly, hard cases included, by `sphere.max_norm_on_sphere`. So
+every candidate of either rank is scored exactly; no Frank-Wolfe runs here.
 
 c = 0 is solved. The feasible set sigma_1(A) <= kappa, with
 kappa = (e^eps - 1) / (e^eps + 1), is the convex hull of kappa O(3). The QFI
@@ -37,9 +34,9 @@ kappa Q, whose QFI is that of kappa I: the depolarizing channel.
 With c free the search is evidence, not proof: the best feasible channel
 found by multi-start coordinate pattern search, with the depolarizing
 channel among the starts. The winner is projected with the exact
-supremum, certified once and checked for complete positivity; the
-depolarizing channel is reported instead if any check fails or the winner
-falls below it.
+supremum and checked for complete positivity; if it passes and does not
+fall below the depolarizing channel it is certified, once. The
+depolarizing channel is reported instead if any check fails.
 """
 
 from dataclasses import dataclass
@@ -53,6 +50,7 @@ from .exceptions import (
     UnsupportedDimensionError,
     check_budget,
 )
+from .sphere import max_norm_on_sphere
 
 # the start streams are spawned as a list, ~1.1 KB each: ~1 MB at the bound
 # (the search is qubit-only, so MAX_DIM does not enter)
@@ -89,21 +87,7 @@ def _span_sup(B, c, g):
     if B.shape[1] == 1:
         a = (1.0 + g) * B[:, 0]
         return max(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
-    a = (1.0 + g) * B
-    # d/dt ||a z - b||^2 / 2 at z = (cos t, sin t) is
-    # -alpha sin 2t + beta cos 2t + gamma sin t - delta cos t; times
-    # 2 e^{2it} it is the quartic below in e^{it}
-    a1, a2 = a[:, 0], a[:, 1]
-    alpha = 0.5 * (a1 @ a1 - a2 @ a2)
-    beta = a1 @ a2
-    gamma = b @ a1
-    delta = b @ a2
-    quartic = [beta + 1j * alpha, -(delta + 1j * gamma), 0.0,
-               -(delta - 1j * gamma), beta - 1j * alpha]
-    # t = 0 stands in when the squared norm is constant (no roots)
-    t = np.append(np.angle(np.roots(quartic)), 0.0)
-    z = np.column_stack([np.cos(t), np.sin(t)])
-    return float(np.max(np.linalg.norm(z @ a.T - b, axis=1)))
+    return max_norm_on_sphere((1.0 + g) * B, b)
 
 
 def _project(A, c, sup, g):
@@ -205,9 +189,9 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     search over A = B P^T restricted to span{w, dw} (6 numbers when w is
     parallel to dw, 9 otherwise), every candidate scored at its projection
     with the exact supremum on the span, not a Frank-Wolfe estimate. The
-    projected winner is certified once and checked for complete
-    positivity; the depolarizing channel is reported instead if the winner
-    fails either check or falls below it.
+    projected winner is checked for complete positivity and against the
+    depolarizing QFI, and only then certified; the depolarizing channel is
+    reported instead if the winner fails any of the three.
     """
     if fam.d != 2:
         raise UnsupportedDimensionError("channel search is qubit-only")
@@ -228,11 +212,12 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
                                             max_evals)
         found = channels.AffineChannel(d=2, A=A, c=c)
         found_qfi = _qfi_of(A, c, w, dw)
-        cert = ldp.certify(found, eps)
-        # the depolarizing start is always feasible; never report below it
-        if (cert.verdict and channels.cp_check(found)[0]
-                and found_qfi >= dep_qfi):
-            ch, best_qfi = found, found_qfi
+        # the depolarizing start is always feasible; never report below it,
+        # and certify only a winner that passes the cheaper checks
+        if channels.cp_check(found)[0] and found_qfi >= dep_qfi:
+            cert = ldp.certify(found, eps)
+            if cert.verdict:
+                ch, best_qfi = found, found_qfi
     if ch is dep_ch:
         cert = ldp.certify(dep_ch, eps)
 

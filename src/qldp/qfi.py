@@ -79,10 +79,10 @@ def qfi_qubit(w, dw):
 
 
 def qfi_qudit(d, w, dw):
-    """Qudit QFI by the SLD route: ||dw||^2 on the outer (pure) boundary;
-    in the interior, one eigh of rho = I/d + (1/2) w.eta, which raises
-    NotAStateError below bloch.POSITIVITY_TOL (as `to_density` does) and
-    gives the SLD basis for drho = (1/2) dw.eta."""
+    """Qudit QFI by the SLD route. One eigh of rho = I/d + (1/2) w.eta
+    raises NotAStateError below bloch.POSITIVITY_TOL (as `to_density`
+    does); then ||dw||^2 on the outer (pure) boundary, and in the interior
+    the SLD sum in the eigenbasis for drho = (1/2) dw.eta."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     n = d * d - 1
@@ -90,8 +90,6 @@ def qfi_qudit(d, w, dw):
         raise InvalidInputError(
             f"expected two finite Bloch vectors of length {n}, got shapes "
             f"{w.shape} and {dw.shape}")
-    if float(np.linalg.norm(w)) >= bloch.max_radius(d) - BOUNDARY_TOL:
-        return QfiResult(value=float(dw @ dw), branch="boundary")
     # rho - I/d and drho in one product with the flattened generators
     rho, drho = (0.5 * np.array([w, dw]) @ bloch.generators(d).reshape(n, -1)
                  ).reshape(2, d, d)
@@ -100,6 +98,8 @@ def qfi_qudit(d, w, dw):
         raise NotAStateError(
             f"Bloch vector is outside the state body (min eigenvalue "
             f"{p[0]:.3e})", eigenvalue=float(p[0]))
+    if float(np.linalg.norm(w)) >= bloch.max_radius(d) - BOUNDARY_TOL:
+        return QfiResult(value=float(dw @ dw), branch="boundary")
     return QfiResult(value=_sld_sum(p, V, drho), branch="interior")
 
 

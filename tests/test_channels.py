@@ -99,6 +99,15 @@ def test_image_radius_grid_oracle(rng):
     assert solved <= brute + 1e-3  # grid resolution slack
 
 
+def test_image_radius_at_nearly_equal_singular_values():
+    # sigma_2 / sigma_1 = 0.99 with c in their plane: multi-start Frank-Wolfe
+    # ascent stalled here 2.8e-9 low
+    A = np.diag([0.5, 0.495, 0.3])
+    c = 0.01 * np.array([np.cos(1.45), np.sin(1.45), 0.0])
+    exact = 0.5054735100446077  # 2e6-angle circle grid, Newton-polished
+    assert abs(image_radius(AffineChannel(2, A, c)) - exact) <= 1e-15 * exact
+
+
 @pytest.mark.parametrize("d,eps", [(2, 0.3), (2, 1.5), (3, 0.7), (4, 1.0)])
 def test_image_radius_of_depolarizing(d, eps):
     ch = depolarizing(d, eps)
@@ -124,6 +133,38 @@ def test_cp_check_transpose_map_fails():
 def test_cp_check_qudit_unsupported():
     with pytest.raises(UnsupportedDimensionError):
         cp_check(depolarizing(3, 1.0))
+
+
+def _choi_by_basis_loop(ch):
+    """The Choi matrix sum_jk |j><k| (x) Phi(|j><k|), one matrix unit at a
+    time, with Phi the complex-linear extension of the affine map."""
+    sig = bloch.generators(2)
+    eye = np.eye(2, dtype=complex)
+
+    def phi(X):
+        wx = np.einsum("ab,iba->i", X, sig)
+        out = np.trace(X) * 0.5 * (eye + np.tensordot(ch.c, sig, axes=(0, 0)))
+        return out + 0.5 * np.tensordot(ch.A @ wx, sig, axes=(0, 0))
+
+    choi = np.zeros((4, 4), dtype=complex)
+    for j in range(2):
+        for k in range(2):
+            E = np.zeros((2, 2), dtype=complex)
+            E[j, k] = 1.0
+            choi += np.kron(E, phi(E))
+    return choi
+
+
+def test_cp_check_matches_choi_basis_loop():
+    rng = np.random.default_rng(21)
+    for k in range(500):
+        if k % 2:
+            ch = random_qubit_channel(rng)
+        else:
+            ch = AffineChannel(2, rng.standard_normal((3, 3)),
+                               rng.standard_normal(3))
+        lo = float(np.linalg.eigvalsh(_choi_by_basis_loop(ch))[0])
+        assert cp_check(ch) == (lo >= channels.CHOI_TOL, lo)
 
 
 def test_cp_implies_image_in_ball(rng):

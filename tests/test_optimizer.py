@@ -262,6 +262,25 @@ def test_outputs_are_completely_positive(monkeypatch):
     assert len(verdicts) == 9 and all(verdicts[:3])
 
 
+def test_each_search_certifies_once(monkeypatch):
+    """The winner is certified only after it passes cp_check and the
+    depolarizing comparison, so a fallback does not certify twice."""
+    calls = []
+    real_certify = ldp.certify
+
+    def certify(ch, eps):
+        calls.append(eps)
+        return real_certify(ch, eps)
+
+    monkeypatch.setattr(ldp, "certify", certify)
+    for fam, lam in ((radial_family(), 0.6), (rotation_family(), 0.3),
+                     (family_by_name("scaled-rotation"), 0.3)):
+        for eps in (0.1, 0.5, 1.0, 2.0):
+            calls.clear()
+            maximize_qfi(fam, lam, eps, starts=8, seed=0)
+            assert calls == [eps], (fam.label, eps)
+
+
 def test_falls_back_to_depolarizing_when_not_completely_positive(monkeypatch):
     fam = radial_family()
     dep = channels.depolarizing(2, 2.0)

@@ -122,6 +122,20 @@ def test_qudit_rejects_non_states_and_bad_shapes():
             qfi_qudit(3, w, dw)
 
 
+def test_qudit_boundary_branch_checks_the_state(rng):
+    # on or past the outer sphere but not states: ||w|| = 1.2 > r_3, and
+    # r_3 e_8 (rho = diag(2/3, 2/3, -1/3))
+    for w in (np.r_[1.2, np.zeros(7)], bloch.max_radius(3) * np.eye(8)[7]):
+        with pytest.raises(NotAStateError):
+            qfi_qudit(3, w, np.ones(8))
+    for d in (3, 4):
+        w = bloch.random_bloch_vector(d, rng)
+        dw = rng.standard_normal(d * d - 1)
+        res = qfi_qudit(d, w, dw)
+        assert res.branch == "boundary"
+        assert res.value == float(dw @ dw)
+
+
 def _sylvester_qfi(rho, drho):
     """Tr(rho L^2) with the SLD L solved from rho L + L rho = 2 drho."""
     L = solve_sylvester(rho, rho, 2.0 * drho)
