@@ -4,6 +4,9 @@ All calculators take a state family and an operating parameter value and
 return counts N such that an unbiased estimator can (upper bound) or no
 unbiased estimator under any eps-LDP channel can (lower bound) reach mean
 squared error alpha from N privatized copies.
+
+Each count is the Cramer-Rao count (1 - b)^2 / (alpha F) of one Fisher
+information F, with e^eps - 1 by expm1 so that it holds at small eps.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import qfi as qfi_mod
+from . import channels, qfi as qfi_mod
 from .exceptions import (
     InvalidBiasError,
     InvalidInputError,
@@ -46,11 +49,19 @@ class BoundsReport:
 
 
 def _geometry(fam, lam):
+    """(dw, C1, C2) of a qubit family at lam (see `constants_thm1`);
+    OutOfRegimeError when dw = 0, where every channel gives QFI 0."""
     if fam.d != 2:
         raise UnsupportedDimensionError(
             "qubit bound calculators require d=2; see qudit_upper_bound"
         )
-    return fam.point(lam)
+    w, dw = fam.point(lam)
+    dd, inner = float(dw @ dw), float(dw @ w)
+    if dd == 0.0:
+        raise OutOfRegimeError("family derivative vanishes; constants undefined")
+    if abs(inner) <= INNER_PRODUCT_TOL:
+        return dw, None, 1.0 / dd
+    return dw, (1.0 / dd) / (4.0 + 0.25 * dd / (inner * inner)), 1.0 / dd
 
 
 def _check_regime(alpha, eps):
@@ -75,29 +86,33 @@ def _finite(x):
     return x
 
 
-def _count(numerator, denominator):
-    """numerator / denominator as a finite bound (see `_finite`)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return float(_finite(numerator / np.float64(denominator)))
+def _count(F, alpha, factor=1.0):
+    """The Cramer-Rao count factor / (alpha F), finite (see `_finite`)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(_finite(factor / (alpha * np.float64(F))))
+
+
+def _cap(C, eps):
+    """The lower-bound Fisher information (e^eps - 1)^2 / C."""
+    with np.errstate(over="ignore"):
+        return float(_finite(np.expm1(eps) ** 2 / C))
+
+
+def _depolarized_floor(d, eps, dw):
+    """Mixed-point QFI shrink^2 (d/2) ||dw||^2 of the depolarized family."""
+    return channels.depolarizing_shrink(d, eps) ** 2 * (d / 2) * float(dw @ dw)
 
 
 def constants_thm1(fam, lam):
     """(C1, C2): C2 = 1/||dw||^2 and
     C1 = (1/||dw||^2) (4 + (1/4) ||dw||^2 / <dw, w>^2)^{-1}.
     C1 is None when |<dw, w>| <= 1e-10 (assumption violated)."""
-    return _constants(*_geometry(fam, lam))
+    return _geometry(fam, lam)[1:]
 
 
-def _constants(w, dw):
-    dd = float(dw @ dw)
-    if dd == 0.0:
-        raise OutOfRegimeError("family derivative vanishes; constants undefined")
-    C2 = 1.0 / dd
-    inner = float(dw @ w)
-    if abs(inner) <= INNER_PRODUCT_TOL:
-        return None, C2
-    C1 = (1.0 / dd) / (4.0 + 0.25 * dd / (inner * inner))
-    return C1, C2
+def _c1_bar(dw):
+    nd = float(np.linalg.norm(dw))
+    return 1.0 / (nd * (nd + 1.0 / THM2_DENOM))
 
 
 def biased_factor(b):
@@ -107,49 +122,48 @@ def biased_factor(b):
     return (1.0 - b) ** 2
 
 
+def fisher_cap(fam, lam, eps, c_zero=False):
+    """The QFI ceiling that applies at lam: `fisher_cap_thm1` when
+    <dw, w> != 0, else `fisher_cap_thm2` for c = 0 channels with eps in
+    (0, 1/2), else None."""
+    dw, C1, _ = _geometry(fam, lam)
+    if C1 is not None:
+        return _cap(C1, eps)
+    return _cap(_c1_bar(dw), eps) if c_zero and 0.0 < eps < 0.5 else None
+
+
 def fisher_cap_thm1(fam, lam, eps):
     """Certified QFI ceiling over all eps-LDP qubit channels:
     4 (e^eps - 1)^2 ||dw||^2 (1 + (1/16) ||dw||^2 / <dw, w>^2)."""
-    return _fisher_cap(*_geometry(fam, lam), eps)
-
-
-def _fisher_cap(w, dw, eps):
-    inner = float(dw @ w)
-    if abs(inner) <= INNER_PRODUCT_TOL:
+    cap = fisher_cap(fam, lam, eps)
+    if cap is None:
         raise OutOfRegimeError(
-            "inner product <dw, w> is numerically zero; the cap is undefined"
-        )
-    dd = float(dw @ dw)
-    g = np.exp(eps)
-    cap = 4.0 * (g - 1.0) ** 2 * dd * (1.0 + dd / (16.0 * inner * inner))
-    return _finite(cap)
+            "inner product <dw, w> is numerically zero; the cap is undefined")
+    return cap
 
 
 def fisher_cap_thm2(fam, lam, eps):
     """QFI ceiling over eps-LDP channels with c = 0 for eps in (0, 1/2):
     (e^eps - 1)^2 ||dw|| (||dw|| + (sqrt(e)(2 - sqrt(e)))^{-1})."""
-    _, dw = _geometry(fam, lam)
+    dw = _geometry(fam, lam)[0]
     if not (0.0 < eps < 0.5):
         raise OutOfRegimeError(
             f"the c=0 cap requires eps in (0, 1/2), got {eps}"
         )
-    nd = float(np.linalg.norm(dw))
-    g = np.exp(eps)
-    return _finite((g - 1.0) ** 2 * nd * (nd + 1.0 / THM2_DENOM))
+    return _cap(_c1_bar(dw), eps)
 
 
 def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
     """Two-sided sample-complexity report:
-    N_lower = C1 (1-b)^2 / (alpha (e^eps - 1)^2),
-    N_upper = C2 (e^eps + 1)^2 / (alpha (e^eps - 1)^2).
+    N_lower = C1 (1-b)^2 / (alpha (e^eps - 1)^2), the count of fisher_cap;
+    N_upper = C2 (e^eps + 1)^2 / (alpha (e^eps - 1)^2), of the depolarized QFI.
     N_lower, N_lower_real and fisher_cap are None with C1."""
     _check_regime(alpha, eps)
-    w, dw = _geometry(fam, lam)
-    C1, C2 = _constants(w, dw)
+    dw, C1, C2 = _geometry(fam, lam)
     factor = biased_factor(bias)
-    g = np.exp(eps)
-    denom = alpha * (g - 1.0) ** 2
-    upper = _count(C2 * (g + 1.0) ** 2, denom)
+    upper = _count(_depolarized_floor(2, eps, dw), alpha)
+    cap = None if C1 is None else _cap(C1, eps)
+    lower = None if C1 is None else _count(cap, alpha, factor)
     flags = {"thm1_ok"} if C1 is not None else {"inner_product_zero"}
     notes = ""
     if eps < 1.0:
@@ -159,34 +173,23 @@ def bounds_thm1(fam, lam, alpha, eps, bias=0.0):
     if eps > 1.0:
         notes = ("large-budget regime: the lower bound loosens arbitrarily "
                  "while the upper bound saturates at C2/alpha")
-    C1_bar = _c1_bar(dw)
-    if C1 is not None:
-        lower = _count(factor * C1, denom)
-        cap = _fisher_cap(w, dw, eps)
-    else:
-        lower = None
-        cap = None
+    if C1 is None:
         notes = "inner product <dw, w> = 0: C1 and the Fisher cap are undefined"
     return BoundsReport(
         alpha=float(alpha),
         eps=float(eps),
         C1=C1,
         C2=C2,
-        C1_bar=C1_bar,
-        N_lower=None if lower is None else int(math.ceil(lower)),
-        N_upper=int(math.ceil(upper)),
-        N_lower_real=None if lower is None else float(lower),
-        N_upper_real=float(upper),
-        fisher_cap=None if cap is None else float(cap),
+        C1_bar=_c1_bar(dw),
+        N_lower=None if lower is None else math.ceil(lower),
+        N_upper=math.ceil(upper),
+        N_lower_real=lower,
+        N_upper_real=upper,
+        fisher_cap=cap,
         regime_flags=frozenset(flags),
         bias=float(bias),
         notes=notes,
     )
-
-
-def _c1_bar(dw):
-    nd = float(np.linalg.norm(dw))
-    return 1.0 / (nd * (nd + 1.0 / THM2_DENOM))
 
 
 def bounds_cor1(fam, lam, alpha, eps, bias=0.0):
@@ -202,9 +205,8 @@ def bounds_cor1(fam, lam, alpha, eps, bias=0.0):
         raise OutOfRegimeError(
             "inner product <dw, w> = 0: small-budget lower bound undefined"
         )
-    factor = biased_factor(bias)
-    lower = _count(factor * C1, 9.0 * alpha * eps * eps)
-    upper = _count(C2 * (math.e + 1.0) ** 2, alpha * eps * eps)
+    lower = _count(9.0 * eps * eps / C1, alpha, biased_factor(bias))
+    upper = _count(eps * eps / (C2 * (math.e + 1.0) ** 2), alpha)
     return lower, upper
 
 
@@ -217,32 +219,22 @@ def bounds_thm2(fam, lam, alpha, eps, bias=0.0):
         raise OutOfRegimeError(
             f"restricted-channel bounds require eps in (0, 1/2), got {eps}"
         )
-    w, dw = _geometry(fam, lam)
-    dd = float(dw @ dw)
-    if dd == 0.0:
-        raise OutOfRegimeError("family derivative vanishes")
-    factor = biased_factor(bias)
-    C1_bar = _c1_bar(dw)
-    g = np.exp(eps)
-    lower = _count(factor * C1_bar, alpha * (g - 1.0) ** 2)
-    upper = _count((1.0 / dd) * (SQRT_E + 1.0) ** 2, alpha * eps * eps)
+    dw, _, C2 = _geometry(fam, lam)
+    lower = _count(_cap(_c1_bar(dw), eps), alpha, biased_factor(bias))
+    upper = _count(eps * eps / (C2 * (SQRT_E + 1.0) ** 2), alpha)
     return lower, upper
 
 
-def qudit_upper_bound(fam, lam, alpha, eps, d=None):
+def qudit_upper_bound(fam, lam, alpha, eps):
     """Qudit depolarizing achievability count, reported two ways.
 
-    N_asymptotic uses the mixed-point approximation
-    F ~= (1-p)^2 (d/2) ||dw||^2 with p = d/(d - 1 + e^eps) (valid for
-    eps << 1/d); N_exact uses the exact qudit QFI of the depolarized
-    family. Both are ceil(1 / (alpha F))."""
+    N_asymptotic uses the mixed-point QFI F ~= (1-p)^2 (d/2) ||dw||^2
+    (valid for eps << 1/d; at d = 2 it is `bounds_thm1`'s N_upper);
+    N_exact uses the exact qudit QFI of the depolarized family. Both are
+    ceil(1 / (alpha F))."""
     _check_regime(alpha, eps)
-    d = fam.d if d is None else d
     w, dw = fam.point(lam)
-    p = d / (d - 1.0 + np.exp(eps))
-    shrink = 1.0 - p
-    f_asym = shrink ** 2 * (d / 2.0) * float(dw @ dw)
-    f_exact = qfi_mod.qfi_qudit(d, shrink * w, shrink * dw).value
-    n_asym = int(math.ceil(_count(1.0, alpha * f_asym)))
-    n_exact = int(math.ceil(_count(1.0, alpha * f_exact)))
-    return n_asym, n_exact
+    shrink = channels.depolarizing_shrink(fam.d, eps)
+    f_exact = qfi_mod.qfi_qudit(fam.d, shrink * w, shrink * dw).value
+    return (math.ceil(_count(_depolarized_floor(fam.d, eps, dw), alpha)),
+            math.ceil(_count(f_exact, alpha)))

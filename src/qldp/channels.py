@@ -67,14 +67,20 @@ def identity_channel(d=2):
     return AffineChannel(d=d, A=np.eye(n), c=np.zeros(n))
 
 
+def depolarizing_shrink(d, eps):
+    """The depolarizing Bloch shrink 1 - p = (e^eps - 1) / (d - 1 + e^eps),
+    e^eps - 1 by expm1; unchecked, as the bounds take eps up to 300."""
+    return np.expm1(eps) / (d + np.expm1(eps))
+
+
 def depolarizing(d, eps):
     """Depolarizing channel calibrated to budget eps: A = (1-p) I, c = 0,
     with p = d / (d - 1 + e^eps) (p = 2/(1+e^eps) for qubits)."""
     check_channel_budget(eps)
     bloch.check_dimension(d)
-    p = d / (d - 1 + np.exp(eps))
     n = d * d - 1
-    return AffineChannel(d=d, A=(1.0 - p) * np.eye(n), c=np.zeros(n))
+    return AffineChannel(d=d, A=depolarizing_shrink(d, eps) * np.eye(n),
+                         c=np.zeros(n))
 
 
 def apply(ch, w):

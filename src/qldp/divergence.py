@@ -52,4 +52,6 @@ def hockey_stick_qubit(w, v, gamma):
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     diff = np.linalg.norm(w - gamma * v, axis=-1)
+    if not np.all(diff < math.inf):  # False on NaN
+        raise InvalidInputError("Bloch vectors must be finite")
     return np.maximum(0.0, 0.5 * diff + 0.5 * (1.0 - gamma))

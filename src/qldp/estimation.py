@@ -51,9 +51,11 @@ def sld_measurement(rho, drho):
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    if np.max(np.abs(drho - drho.conj().T)) > 1e-10:
-        raise InvalidInputError("derivative matrix is not Hermitian")
+    if not np.max(np.abs(drho - drho.conj().T)) <= 1e-10:  # False on NaN
+        raise InvalidInputError("derivative matrix is not Hermitian or finite")
     p, V = np.linalg.eigh(rho)
+    if not np.isfinite(p).all():
+        raise InvalidInputError("density matrix must be finite")
     if p[0] <= FULL_RANK_TOL:
         raise RankDeficientError(
             f"operating state is rank deficient (min eigenvalue {p[0]:.3e}); "
@@ -85,9 +87,11 @@ def simulate(fam, lam0, ch, n_copies, trials, seed):
     """Run `trials` independent experiments of N = n_copies SLD
     measurements on the privatized state; return empirical statistics
     of the locally unbiased estimator."""
-    if not (1 <= n_copies <= MAX_COPIES and 1 <= trials <= MAX_TRIALS):
+    if not (isinstance(n_copies, (int, np.integer))
+            and isinstance(trials, (int, np.integer))
+            and 1 <= n_copies <= MAX_COPIES and 1 <= trials <= MAX_TRIALS):
         raise InvalidInputError(
-            f"need 1 <= n_copies <= {MAX_COPIES} and "
+            f"need integers 1 <= n_copies <= {MAX_COPIES} and "
             f"1 <= trials <= {MAX_TRIALS}")
     rho, drho = _privatized_operating_point(fam, lam0, ch)
     meas = sld_measurement(rho, drho)

@@ -200,6 +200,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         raise InvalidBudgetError(f"eps must be > 0, got {eps}")
     if starts > MAX_STARTS:
         raise InvalidInputError(f"at most {MAX_STARTS} starts, got {starts}")
+    cap = bounds.fisher_cap(fam, lam, eps, c_zero)  # dw = 0 raises, unsearched
     w, dw = fam.point(lam)
     dep_ch = channels.depolarizing(2, eps)
     dep_qfi = _qfi_of(dep_ch.A, dep_ch.c, w, dw)
@@ -221,12 +222,6 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     if ch is dep_ch:
         cert = ldp.certify(dep_ch, eps)
 
-    cap = None
-    inner = float(dw @ w)
-    if abs(inner) > bounds.INNER_PRODUCT_TOL:
-        cap = bounds.fisher_cap_thm1(fam, lam, eps)
-    elif c_zero and 0.0 < eps < 0.5:
-        cap = bounds.fisher_cap_thm2(fam, lam, eps)
     return ChannelSearchResult(
         best_channel=ch,
         best_qfi=float(best_qfi),

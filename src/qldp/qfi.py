@@ -69,9 +69,9 @@ def qfi_qubit(w, dw):
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     r = float(np.linalg.norm(w))
-    if r > 1.0 + 1e-12:
-        raise InvalidInputError(f"not a qubit state: ||w|| = {r}")
     dd = float(dw @ dw)
+    if not (r <= 1.0 + 1e-12 and dd < math.inf):  # False on NaN
+        raise InvalidInputError(f"need ||w|| <= 1 and finite dw, got {r}, {dd}")
     if r >= 1.0 - BOUNDARY_TOL:
         return QfiResult(value=dd, branch="boundary")
     inner = float(w @ dw)
@@ -108,13 +108,15 @@ def qfi_sld_oracle(rho, drho):
     derivative matrix."""
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    if np.max(np.abs(drho - drho.conj().T)) > 1e-10:
-        raise InvalidInputError("derivative matrix is not Hermitian")
+    if not np.max(np.abs(drho - drho.conj().T)) <= 1e-10:  # False on NaN
+        raise InvalidInputError("derivative matrix is not Hermitian or finite")
     if abs(np.trace(drho).real) > 1e-8:
         raise InvalidInputError(
             f"derivative matrix must be traceless, got trace {np.trace(drho)!r}"
         )
     p, V = np.linalg.eigh(rho)
+    if not np.isfinite(p).all():
+        raise InvalidInputError("density matrix must be finite")
     return _sld_sum(p, V, drho)
 
 
@@ -220,20 +222,18 @@ def _is_csv(path):
         return "," in fh.readline()
 
 
-def family_by_name(name, d=2, **kwargs):
+def family_by_name(name, d=2):
     """Look up a built-in family by name: the qubit families radial,
     rotation and scaled-rotation (InvalidDimensionError for d != 2), or
     axis-<k> (1-based) at dimension d. Table families are built with
     `table_family(path)`."""
-    if name in ("radial", "rotation", "scaled-rotation") and d != 2:
-        raise InvalidDimensionError(
-            f"family {name!r} is a qubit family, got d={d!r}")
-    if name == "radial":
-        return radial_family()
-    if name == "rotation":
-        return rotation_family()
-    if name == "scaled-rotation":
-        return scaled_rotation_family(**kwargs)
+    qubit = {"radial": radial_family, "rotation": rotation_family,
+             "scaled-rotation": scaled_rotation_family}
+    if name in qubit:
+        if d != 2:
+            raise InvalidDimensionError(
+                f"family {name!r} is a qubit family, got d={d!r}")
+        return qubit[name]()
     if name.startswith("axis-"):
         return axis_family(d, int(name.split("-", 1)[1]) - 1)
     raise InvalidInputError(f"unknown family {name!r}")

@@ -20,7 +20,13 @@ from qldp.exceptions import (
     NotAStateError,
     OutOfRegimeError,
 )
-from qldp.qfi import family_by_name, qfi_qubit, radial_family, rotation_family
+from qldp.qfi import (
+    StateFamily,
+    family_by_name,
+    qfi_qubit,
+    radial_family,
+    rotation_family,
+)
 
 
 def test_constants_radial_06():
@@ -140,6 +146,56 @@ def test_fisher_cap_thm1_scaling_identity():
         assert abs(r - expected) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-6])
+def test_thm1_counts_exact_at_small_budget(eps):
+    # np.exp(eps) - 1 is 2.2e-8 relative off at eps = 1e-8; expm1 keeps its digits
+    rep = bounds_thm1(radial_family(), 0.6, 0.01, eps)
+    x = math.expm1(eps)
+    lower = rep.C1 / (0.01 * x * x)
+    upper = (x + 2.0) ** 2 / (0.01 * x * x)
+    assert abs(rep.N_lower_real - lower) <= 1e-15 * lower
+    assert abs(rep.N_upper_real - upper) <= 1e-15 * upper
+    assert rep.N_lower == math.ceil(rep.N_lower_real)
+    assert rep.N_upper == math.ceil(rep.N_upper_real)
+
+
+def test_lower_count_is_the_cramer_rao_count_of_the_cap(rng):
+    fam = radial_family()
+    for _ in range(500):
+        lam = rng.uniform(0.05, 0.95)
+        eps = 10.0 ** rng.uniform(-8.0, 1.0)
+        alpha = 10.0 ** rng.uniform(-4.0, -0.3)
+        b = rng.uniform(0.0, 0.95)
+        rep = bounds_thm1(fam, lam, alpha, eps, bias=b)
+        one = (1.0 - b) ** 2
+        assert (abs(rep.N_lower_real * alpha * rep.fisher_cap - one)
+                <= 4 * np.spacing(one))
+
+
+def test_fisher_cap_rule():
+    radial, rot = radial_family(), rotation_family()
+    for c_zero in (False, True):
+        # Theorem 1's cap applies whenever <dw, w> != 0
+        assert (bounds.fisher_cap(radial, 0.6, 0.3, c_zero)
+                == fisher_cap_thm1(radial, 0.6, 0.3))
+    assert (bounds.fisher_cap(rot, 0.3, 0.25, c_zero=True)
+            == fisher_cap_thm2(rot, 0.3, 0.25))
+    for eps, c_zero in ((0.25, False), (0.5, True), (1.0, True)):
+        assert bounds.fisher_cap(rot, 0.3, eps, c_zero) is None
+
+
+def test_vanishing_derivative_is_out_of_regime():
+    flat = StateFamily(d=2, omega_of=lambda lam: np.array([0.0, 0.0, 0.5]),
+                       d_omega_of=lambda lam: np.zeros(3))
+    for call in (lambda: constants_thm1(flat, 0.0),
+                 lambda: bounds.fisher_cap(flat, 0.0, 0.25, c_zero=True),
+                 lambda: fisher_cap_thm2(flat, 0.0, 0.25),
+                 lambda: bounds_thm1(flat, 0.0, 0.01, 0.25),
+                 lambda: bounds_thm2(flat, 0.0, 0.01, 0.25)):
+        with pytest.raises(OutOfRegimeError):
+            call()
+
+
 def test_fisher_cap_thm1_undefined_for_pure_rotation():
     with pytest.raises(OutOfRegimeError):
         fisher_cap_thm1(rotation_family(), 0.3, 1.0)
@@ -170,10 +226,9 @@ def test_fisher_cap_thm2_value_and_limit():
 
 def test_qudit_bound_matches_thm1_at_d2():
     fam = radial_family()
-    for eps in (0.5, 0.05):
-        n_asym, _ = qudit_upper_bound(fam, 0.6, 0.01, eps, d=2)
-        rep = bounds_thm1(fam, 0.6, 0.01, eps)
-        assert abs(n_asym - rep.N_upper) <= 1
+    for eps in (0.5, 0.05, 1e-6):
+        n_asym, _ = qudit_upper_bound(fam, 0.6, 0.01, eps)
+        assert n_asym == bounds_thm1(fam, 0.6, 0.01, eps).N_upper
 
 
 def test_qudit_bound_shrink_factor():

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from qldp import bloch, channels, ldp
-from qldp.channels import AffineChannel, apply, cp_check, depolarizing, image_radius
+from qldp.channels import (
+    AffineChannel,
+    apply,
+    cp_check,
+    depolarizing,
+    depolarizing_shrink,
+    image_radius,
+)
 from conftest import random_qubit_channel
 from qldp.exceptions import (
     InvalidBudgetError,
@@ -71,6 +80,16 @@ def test_depolarizing_qutrit_shrink():
     ch = depolarizing(3, 1.0)
     shrink = (np.e - 1.0) / (2.0 + np.e)
     assert np.allclose(ch.A, shrink * np.eye(8))
+
+
+def test_depolarizing_shrink_is_exact_at_small_budget():
+    # 1 - d / (d - 1 + np.exp(eps)) keeps no digit at eps = 1e-17
+    for d in (2, 3, 16):
+        for eps in (1e-17, 1e-8, 0.5):
+            x = math.expm1(eps)
+            assert abs(depolarizing_shrink(d, eps) - x / (d + x)) <= 2e-16 * x / d
+            assert np.all(depolarizing(d, eps).A
+                          == depolarizing_shrink(d, eps) * np.eye(d * d - 1))
 
 
 def test_depolarizing_rejects_negative_budget():

@@ -35,6 +35,16 @@ def test_hockey_stick_rejects_nan_instead_of_clamping_it():
         hockey_stick(rho, np.eye(2) / 2, 1.5)
 
 
+@pytest.mark.parametrize("w, v", [
+    ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, np.inf, 0.0]),
+    ([[0.1, 0.0, 0.0], [0.0, np.nan, 0.0]], [[0.0, 0.0, 0.0]] * 2),
+], ids=["w-nan", "v-inf", "batch-row-nan"])
+def test_hockey_stick_qubit_rejects_non_finite_input(w, v):
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError):
+        hockey_stick_qubit(np.array(w), np.array(v), 1.5)
+
+
 def test_trace_norm_random_4x4_matches_eigen_oracle(rng):
     for _ in range(50):
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

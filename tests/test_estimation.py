@@ -79,6 +79,15 @@ def test_non_hermitian_derivative_rejected():
         sld_measurement(rho, bad)
 
 
+@pytest.mark.parametrize("rho, drho", [
+    ([[0.7, 0.0], [0.0, 0.3]], [[np.nan, 0.0], [0.0, 0.0]]),
+    ([[np.nan, 0.0], [0.0, 0.3]], [[0.5, 0.0], [0.0, -0.5]]),
+], ids=["drho-nan", "rho-nan"])
+def test_non_finite_input_rejected(rho, drho):
+    with pytest.raises(InvalidInputError):
+        sld_measurement(np.array(rho), np.array(drho))
+
+
 def test_simulate_reproducible():
     fam = radial_family()
     ch = channels.depolarizing(2, 1.0)
@@ -96,6 +105,16 @@ def test_simulate_rejects_bad_sizes():
         simulate(fam, 0.6, ch, 0, 10, seed=0)
     with pytest.raises(InvalidInputError):
         simulate(fam, 0.6, ch, 10, 0, seed=0)
+
+
+def test_simulate_takes_only_integral_counts():
+    fam = radial_family()
+    ch = channels.depolarizing(2, 1.0)
+    for n_copies, trials in ((2.5, 10), (10, 10.5), (10.0, 10)):
+        with pytest.raises(InvalidInputError):
+            simulate(fam, 0.6, ch, n_copies, trials, seed=0)
+    res = simulate(fam, 0.6, ch, np.int64(10), np.int64(5), seed=0)
+    assert (res.n_copies, res.n_trials) == (10, 5)
 
 
 def test_estimator_saturates_crb():

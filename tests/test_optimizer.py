@@ -7,10 +7,17 @@ from qldp.exceptions import (
     InvalidBudgetError,
     InvalidInputError,
     NotAStateError,
+    OutOfRegimeError,
     UnsupportedDimensionError,
 )
 from qldp.optimizer import maximize_qfi, sweep
-from qldp.qfi import family_by_name, qfi_qubit, radial_family, rotation_family
+from qldp.qfi import (
+    StateFamily,
+    family_by_name,
+    qfi_qubit,
+    radial_family,
+    rotation_family,
+)
 
 
 def _dep_qfi(fam, lam, eps):
@@ -62,6 +69,14 @@ def test_c_zero_mode():
     assert res.best_qfi <= cap + 1e-8
     cert = ldp.certify(res.best_channel, 0.25)
     assert cert.margin <= 1e-9
+
+
+def test_vanishing_derivative_is_out_of_regime():
+    flat = StateFamily(d=2, omega_of=lambda lam: np.array([0.0, 0.0, 0.5]),
+                       d_omega_of=lambda lam: np.zeros(3))
+    for c_zero in (False, True):
+        with pytest.raises(OutOfRegimeError):
+            maximize_qfi(flat, 0.0, 0.25, starts=2, c_zero=c_zero)
 
 
 def test_rotation_family_general_mode_has_no_cap():

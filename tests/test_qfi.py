@@ -52,6 +52,17 @@ def test_qubit_rejects_outside_ball():
         qfi_qubit(np.array([0.0, 0.0, 1.1]), np.zeros(3))
 
 
+@pytest.mark.parametrize("w, dw", [
+    ([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]),
+    ([0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]),
+], ids=["w-nan", "w-inf", "dw-nan", "dw-inf"])
+def test_qubit_rejects_non_finite_input(w, dw):
+    with pytest.raises(InvalidInputError):
+        qfi_qubit(np.array(w), np.array(dw))
+
+
 def test_qudit_matches_qubit_closed_form(rng):
     for _ in range(1000):
         w = random_mixed_bloch_vector(2, rng) * 0.999
@@ -96,6 +107,15 @@ def test_sld_oracle_rejects_traceful_derivative():
     rho = np.eye(2) / 2
     with pytest.raises(InvalidInputError):
         qfi_sld_oracle(rho, np.eye(2))
+
+
+@pytest.mark.parametrize("rho, drho", [
+    ([[np.nan, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, -0.5]]),
+    ([[0.5, 0.0], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 0.0]]),
+], ids=["rho-nan", "drho-nan"])
+def test_sld_oracle_rejects_non_finite_input(rho, drho):
+    with pytest.raises(InvalidInputError):
+        qfi_sld_oracle(np.array(rho), np.array(drho))
 
 
 def test_rank_deficient_qutrit_gets_the_support_value():
