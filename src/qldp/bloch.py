@@ -15,6 +15,10 @@ from .exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
+# for matrices that are not states: derivatives and `divergence.trace_norm`
+LOOSE_HERMITICITY_TOL = 1e-10
+DERIVATIVE_TRACE_TOL = 1e-8
+BALL_TOL = 1e-12
 # ldp.MAX_AUDIT_PAIRS and estimation.MAX_TRIALS are sized at this dimension
 MAX_DIM = 16
 
@@ -75,26 +79,17 @@ def generators(d):
 def to_density(w, d=None):
     """Map a Bloch vector to its density matrix I/d + (1/2) w.eta.
 
-    Raises NotAStateError if the result has an eigenvalue below -1e-10,
-    or a NaN one (from non-finite entries).
+    Hermiticity and unit trace hold by construction; raises NotAStateError
+    by `check_positive` (so also for non-finite entries).
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise InvalidInputError("Bloch vector must be one-dimensional")
     if d is None:
         d = int(round(np.sqrt(w.size + 1)))
-    if d * d - 1 != w.size:
-        raise InvalidInputError(
-            f"Bloch vector of length {w.size} does not match dimension {d}"
-        )
+    if w.shape != (d * d - 1,):
+        raise InvalidInputError(f"Bloch vector of shape {w.shape} for d={d}")
     etas = generators(d)
     rho = np.eye(d, dtype=complex) / d + 0.5 * np.tensordot(w, etas, axes=(0, 0))
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if not lo >= POSITIVITY_TOL:  # NaN entries give a NaN eigenvalue
-        raise NotAStateError(
-            f"Bloch vector is outside the state body (min eigenvalue {lo:.3e})",
-            eigenvalue=lo,
-        )
+    check_positive(np.linalg.eigvalsh(rho)[0])
     return rho
 
 
@@ -109,21 +104,52 @@ def from_density(rho):
     return w
 
 
-def check_density(rho):
-    """Validate density-matrix invariants; raise on violation (also on
-    NaN or infinite entries: each test fails on NaN, and inf - inf is NaN)."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {rho.shape}")
-    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
+def check_hermitian(M, tol=HERMITICITY_TOL):
+    """Raise InvalidInputError unless M is a non-empty square matrix within
+    tol of M^H; also on NaN or inf entries (inf - inf is NaN)."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
+    if not np.max(np.abs(M - M.conj().T)) <= tol:
         raise InvalidInputError("matrix is not Hermitian (or not finite)")
+
+
+def check_positive(lo):
+    """Raise NotAStateError unless the lowest eigenvalue lo >= POSITIVITY_TOL
+    (also when lo is NaN)."""
+    if not lo >= POSITIVITY_TOL:
+        raise NotAStateError(f"not a state: min eigenvalue {lo:.3e}",
+                             eigenvalue=float(lo))
+
+
+def check_density(rho):
+    """The density-matrix check: square, Hermitian, finite and unit trace
+    (InvalidInputError), positive semidefinite (NotAStateError). Returns
+    eigh(rho) for the caller to reuse."""
+    rho = np.asarray(rho)
+    check_hermitian(rho)
     if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
         raise InvalidInputError(f"trace is {np.trace(rho).real!r}, expected 1")
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if not lo >= POSITIVITY_TOL:
-        raise NotAStateError(
-            f"matrix has negative eigenvalue {lo:.3e}", eigenvalue=lo
-        )
+    p, V = np.linalg.eigh(rho)
+    check_positive(p[0])
+    return p, V
+
+
+def check_derivative(drho, d):
+    """The state-derivative check: a d x d Hermitian, finite and traceless
+    matrix, or InvalidInputError. Returns it as a complex array."""
+    drho = np.asarray(drho, dtype=complex)
+    check_hermitian(drho, LOOSE_HERMITICITY_TOL)
+    if drho.shape != (d, d):
+        raise InvalidInputError(f"derivative shape {drho.shape}, state d={d}")
+    if not abs(np.trace(drho).real) <= DERIVATIVE_TRACE_TOL:
+        raise InvalidInputError(
+            f"derivative matrix must be traceless, got trace {np.trace(drho)!r}")
+    return drho
+
+
+def in_qubit_ball(r):
+    """The qubit Bloch-ball rule on norms r: r <= 1 + BALL_TOL, False on NaN."""
+    return r <= 1.0 + BALL_TOL
 
 
 def random_bloch_vector(d, rng, size=None):

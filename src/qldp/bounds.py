@@ -125,7 +125,8 @@ def biased_factor(b):
 def fisher_cap(fam, lam, eps, c_zero=False):
     """The QFI ceiling that applies at lam: `fisher_cap_thm1` when
     <dw, w> != 0, else `fisher_cap_thm2` for c = 0 channels with eps in
-    (0, 1/2), else None."""
+    (0, 1/2), else None. Every cap checks its budget (`check_budget`)."""
+    check_budget(eps)
     dw, C1, _ = _geometry(fam, lam)
     if C1 is not None:
         return _cap(C1, eps)
@@ -145,11 +146,10 @@ def fisher_cap_thm1(fam, lam, eps):
 def fisher_cap_thm2(fam, lam, eps):
     """QFI ceiling over eps-LDP channels with c = 0 for eps in (0, 1/2):
     (e^eps - 1)^2 ||dw|| (||dw|| + (sqrt(e)(2 - sqrt(e)))^{-1})."""
+    check_budget(eps)
     dw = _geometry(fam, lam)[0]
     if not (0.0 < eps < 0.5):
-        raise OutOfRegimeError(
-            f"the c=0 cap requires eps in (0, 1/2), got {eps}"
-        )
+        raise OutOfRegimeError(f"the c=0 cap requires eps in (0, 1/2), got {eps}")
     return _cap(_c1_bar(dw), eps)
 
 

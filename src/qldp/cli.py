@@ -80,10 +80,10 @@ def _load_density(path):
     with open(path) as fh:
         data = json.load(fh)
     arr = np.array(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise QldpError(
-            f"{path}: expected a row-major array of [re, im] pairs"
-        )
+    # a matrix of [re, im] pairs; whether it is a state is
+    # `divergence.hockey_stick`'s check
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise QldpError(f"{path}: expected a row-major array of [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 

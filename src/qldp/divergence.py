@@ -9,49 +9,46 @@ import math
 
 import numpy as np
 
+from . import bloch
 from .exceptions import InvalidInputError
-
-HERM_TOL = 1e-10
 
 
 def trace_norm(M):
-    """Sum of absolute eigenvalues of a Hermitian matrix of any size; a
-    NaN or infinite entry fails the Hermiticity test (inf - inf is NaN)."""
+    """Sum of absolute eigenvalues of a Hermitian matrix of any size."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
-    if not np.max(np.abs(M - M.conj().T)) <= HERM_TOL:
-        raise InvalidInputError("matrix is not Hermitian (or not finite)")
+    bloch.check_hermitian(M, bloch.LOOSE_HERMITICITY_TOL)
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))))
 
 
 def hockey_stick(rho, sigma, gamma):
-    """Quantum hockey-stick divergence E_gamma(rho || sigma), gamma >= 1.
-
-    E_gamma is never negative; the eigenvalue sum can round a zero
-    divergence to about -1e-15, so the result is clamped at 0 as in
-    `hockey_stick_qubit`.
-    """
+    """Quantum hockey-stick divergence E_gamma(rho || sigma), gamma >= 1, of
+    two density matrices of one dimension (each `bloch.check_density`)."""
     if not 1.0 <= gamma < math.inf:
         raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
     if rho.shape != sigma.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {rho.shape} vs {sigma.shape}"
-        )
+        raise InvalidInputError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    bloch.check_density(rho)
+    bloch.check_density(sigma)
+    return hockey_stick_unchecked(rho, sigma, gamma)
+
+
+def hockey_stick_unchecked(rho, sigma, gamma):
+    """`hockey_stick` without its checks, for states by construction; clamped
+    at 0, as the eigenvalue sum can round a zero divergence to -1e-15."""
     val = 0.5 * trace_norm(rho - gamma * sigma) + 0.5 * (1.0 - gamma)
     return max(0.0, val)
 
 
 def hockey_stick_qubit(w, v, gamma):
-    """Closed-form qubit divergence from Bloch vectors (batched over rows):
-    max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
+    """Closed-form qubit divergence from Bloch vectors (batched over rows),
+    each `bloch.in_qubit_ball`: max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
     if not 1.0 <= gamma < math.inf:
         raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
+    if not (np.all(bloch.in_qubit_ball(np.linalg.norm(w, axis=-1)))
+            and np.all(bloch.in_qubit_ball(np.linalg.norm(v, axis=-1)))):
+        raise InvalidInputError("rows must be finite vectors in the Bloch ball")
     diff = np.linalg.norm(w - gamma * v, axis=-1)
-    if not np.all(diff < math.inf):  # False on NaN
-        raise InvalidInputError("Bloch vectors must be finite")
     return np.maximum(0.0, 0.5 * diff + 0.5 * (1.0 - gamma))

@@ -47,15 +47,10 @@ def sld_measurement(rho, drho):
 
     L is built in rho's eigenbasis via L_jk = 2 (drho)_jk / (p_j + p_k),
     which requires a full-rank operating state (privatized states are
-    full-rank for finite eps).
+    full-rank for finite eps). Checks: `bloch.check_density`, `check_derivative`.
     """
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if not np.max(np.abs(drho - drho.conj().T)) <= 1e-10:  # False on NaN
-        raise InvalidInputError("derivative matrix is not Hermitian or finite")
-    p, V = np.linalg.eigh(rho)
-    if not np.isfinite(p).all():
-        raise InvalidInputError("density matrix must be finite")
+    p, V = bloch.check_density(rho)
+    drho = bloch.check_derivative(drho, len(p))
     if p[0] <= FULL_RANK_TOL:
         raise RankDeficientError(
             f"operating state is rank deficient (min eigenvalue {p[0]:.3e}); "

@@ -120,13 +120,9 @@ def certify(ch, eps):
     sup_value, u = ldp_sup(ch, eps)
     atu = ch.A.T @ u
     norm_atu = np.linalg.norm(atu)
-    if norm_atu > 0:
-        w = atu / norm_atu
-        v = -atu / norm_atu
-    else:
-        # degenerate direction: the norm term vanishes, any unit pair works
-        w = u.copy()
-        v = -u.copy()
+    # at a degenerate direction the norm term vanishes: any unit pair works
+    w = atu / norm_atu if norm_atu > 0 else u.copy()
+    v = -w
     margin = _margin(ch, eps, u)
     return LdpCertificate(
         eps=float(eps),
@@ -136,12 +132,6 @@ def certify(ch, eps):
         witness_u=u,
         witness_pair=(w, v),
     )
-
-
-def witness_norm(ch, eps, w, v):
-    """Left-hand side ||A w - e^eps A v + (1 - e^eps) c|| at a state pair."""
-    g = np.exp(eps)
-    return float(np.linalg.norm(ch.A @ w - g * (ch.A @ v) + (1.0 - g) * ch.c))
 
 
 def tight_epsilon(ch):
@@ -256,8 +246,8 @@ def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
         vals = divergence.hockey_stick_qubit(out_w, out_v, gamma)
     else:
         vals = np.array([
-            divergence.hockey_stick(bloch.to_density(ww, ch.d),
-                                    bloch.to_density(vv, ch.d), gamma)
+            divergence.hockey_stick_unchecked(bloch.to_density(ww, ch.d),
+                                              bloch.to_density(vv, ch.d), gamma)
             for ww, vv in zip(out_w, out_v)
         ])
     worst = int(np.argmax(vals))

@@ -34,8 +34,8 @@ kappa Q, whose QFI is that of kappa I: the depolarizing channel.
 With c free the search is evidence, not proof: the best feasible channel
 found by multi-start coordinate pattern search, with the depolarizing
 channel among the starts. The winner is projected with the exact
-supremum and checked for complete positivity; if it passes and does not
-fall below the depolarizing channel it is certified, once. The
+supremum and checked for complete positivity; if it passes and beats the
+depolarizing channel by more than rounding it is certified, once. The
 depolarizing channel is reported instead if any check fails.
 """
 
@@ -55,6 +55,9 @@ from .sphere import max_norm_on_sphere
 # the start streams are spawned as a list, ~1.1 KB each: ~1 MB at the bound
 # (the search is qubit-only, so MAX_DIM does not enter)
 MAX_STARTS = 1000
+# a search winner within this relative QFI of the depolarizing channel ties
+# with it, and the depolarizing channel is reported
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,10 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     search over A = B P^T restricted to span{w, dw} (6 numbers when w is
     parallel to dw, 9 otherwise), every candidate scored at its projection
     with the exact supremum on the span, not a Frank-Wolfe estimate. The
-    projected winner is checked for complete positivity and against the
-    depolarizing QFI, and only then certified; the depolarizing channel is
-    reported instead if the winner fails any of the three.
+    projected winner must lead the depolarizing QFI by more than TIE_RTOL
+    relative and pass complete positivity, and only then is certified; the
+    depolarizing channel is reported instead if the winner fails any of
+    the three.
     """
     if fam.d != 2:
         raise UnsupportedDimensionError("channel search is qubit-only")
@@ -213,9 +217,11 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
                                             max_evals)
         found = channels.AffineChannel(d=2, A=A, c=c)
         found_qfi = _qfi_of(A, c, w, dw)
-        # the depolarizing start is always feasible; never report below it,
-        # and certify only a winner that passes the cheaper checks
-        if channels.cp_check(found)[0] and found_qfi >= dep_qfi:
+        # the depolarizing start is always feasible: report a winner only
+        # when it leads by more than rounding (TIE_RTOL), and certify only
+        # one that passes the cheaper checks
+        if (channels.cp_check(found)[0]
+                and found_qfi - dep_qfi > TIE_RTOL * dep_qfi):
             cert = ldp.certify(found, eps)
             if cert.verdict:
                 ch, best_qfi = found, found_qfi

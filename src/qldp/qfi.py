@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import bloch
-from .exceptions import InvalidDimensionError, InvalidInputError, NotAStateError
+from .exceptions import InvalidDimensionError, InvalidInputError
 
 BOUNDARY_TOL = 1e-9
 SLD_SUPPORT_TOL = 1e-12
@@ -65,12 +65,12 @@ def family_derivative(fam, lam, h=1e-5):
 
 def qfi_qubit(w, dw):
     """Qubit QFI: ||dw||^2 + <w, dw>^2 / (1 - ||w||^2) in the interior,
-    ||dw||^2 on the pure boundary."""
+    ||dw||^2 on the pure boundary. w must pass `bloch.in_qubit_ball`."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     r = float(np.linalg.norm(w))
     dd = float(dw @ dw)
-    if not (r <= 1.0 + 1e-12 and dd < math.inf):  # False on NaN
+    if not (bloch.in_qubit_ball(r) and dd < math.inf):  # False on NaN
         raise InvalidInputError(f"need ||w|| <= 1 and finite dw, got {r}, {dd}")
     if r >= 1.0 - BOUNDARY_TOL:
         return QfiResult(value=dd, branch="boundary")
@@ -79,10 +79,9 @@ def qfi_qubit(w, dw):
 
 
 def qfi_qudit(d, w, dw):
-    """Qudit QFI by the SLD route. One eigh of rho = I/d + (1/2) w.eta
-    raises NotAStateError below bloch.POSITIVITY_TOL (as `to_density`
-    does); then ||dw||^2 on the outer (pure) boundary, and in the interior
-    the SLD sum in the eigenbasis for drho = (1/2) dw.eta."""
+    """Qudit QFI by the SLD route. One eigh of rho = I/d + (1/2) w.eta goes
+    through `bloch.check_positive`; then ||dw||^2 on the outer (pure)
+    boundary, and in the interior the SLD sum for drho = (1/2) dw.eta."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     n = d * d - 1
@@ -94,30 +93,17 @@ def qfi_qudit(d, w, dw):
     rho, drho = (0.5 * np.array([w, dw]) @ bloch.generators(d).reshape(n, -1)
                  ).reshape(2, d, d)
     p, V = np.linalg.eigh(rho + np.eye(d) / d)
-    if p[0] < bloch.POSITIVITY_TOL:
-        raise NotAStateError(
-            f"Bloch vector is outside the state body (min eigenvalue "
-            f"{p[0]:.3e})", eigenvalue=float(p[0]))
+    bloch.check_positive(p[0])
     if float(np.linalg.norm(w)) >= bloch.max_radius(d) - BOUNDARY_TOL:
         return QfiResult(value=float(dw @ dw), branch="boundary")
     return QfiResult(value=_sld_sum(p, V, drho), branch="interior")
 
 
 def qfi_sld_oracle(rho, drho):
-    """SLD-route QFI of a density matrix and a Hermitian, traceless
-    derivative matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if not np.max(np.abs(drho - drho.conj().T)) <= 1e-10:  # False on NaN
-        raise InvalidInputError("derivative matrix is not Hermitian or finite")
-    if abs(np.trace(drho).real) > 1e-8:
-        raise InvalidInputError(
-            f"derivative matrix must be traceless, got trace {np.trace(drho)!r}"
-        )
-    p, V = np.linalg.eigh(rho)
-    if not np.isfinite(p).all():
-        raise InvalidInputError("density matrix must be finite")
-    return _sld_sum(p, V, drho)
+    """SLD-route QFI of a density matrix (`bloch.check_density`) and its
+    derivative (`bloch.check_derivative`)."""
+    p, V = bloch.check_density(rho)
+    return _sld_sum(p, V, bloch.check_derivative(drho, len(p)))
 
 
 def _sld_sum(p, V, drho):

@@ -143,6 +143,7 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
         code, out = run_cli(capsys, *argv, "--eps", "nan")
         assert (code, out) == (3, "")
     rho = density_file(tmp_path, "rho.json", np.diag([0.9, 0.1]))
+    not_a_state = density_file(tmp_path, "neg.json", np.diag([1.5, -0.5]))
     bounds = ["bounds", "--family", "radial", "--alpha", "0.01", "--eps", "0.3"]
     for argv in (["qfi", "--family", "radial", "--lambda", "nan"],
                  ["qfi", "--family", "axis-8", "--dim", "3", "--lambda", "0.9"],
@@ -158,6 +159,8 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
                  ["optimize", "--family", "radial", "--lambda", "1.5",
                   "--eps", "0.5"],
                  ["divergence", "--gamma", "nan", "--rho", rho, "--sigma", rho],
+                 ["divergence", "--gamma", "1", "--rho", not_a_state,
+                  "--sigma", rho],
                  ["audit", "--depolarizing", "--eps", "1", "--n", "0"],
                  ["audit", "--depolarizing", "--eps", "1", "--seed", "-1"],
                  ["simulate", "--family", "radial", "--lambda0", "0.6",

@@ -235,6 +235,21 @@ def test_rank2_winners_tie_depolarizing_after_exact_projection():
             assert value >= (1.0 - 1e-9) * _dep_qfi(fam, 0.3, eps), (fam.label, eps)
 
 
+@pytest.mark.parametrize("family, lam, eps", [
+    ("radial", 0.6, 0.1), ("radial", 0.6, 0.5), ("radial", 0.6, 1.0),
+    ("radial", 0.6, 2.0), ("rotation", 0.3, 0.1), ("rotation", 0.3, 1.0),
+])
+def test_tied_winner_reports_the_depolarizing_channel(family, lam, eps):
+    """Here the search winner leads the depolarizing QFI by 4e-16 to 1.2e-15
+    relative, which is rounding: the depolarizing channel is reported."""
+    fam = family_by_name(family)
+    res = maximize_qfi(fam, lam, eps, starts=8, seed=0)
+    dep = channels.depolarizing(2, eps)
+    assert np.array_equal(res.best_channel.A, dep.A)
+    assert np.array_equal(res.best_channel.c, dep.c)
+    assert res.best_qfi == _dep_qfi(fam, lam, eps)
+
+
 def test_restriction_to_span_keeps_qfi_and_never_raises_sup():
     rng = np.random.default_rng(12)
     for k in range(200):
@@ -297,6 +312,9 @@ def test_each_search_certifies_once(monkeypatch):
 
 
 def test_falls_back_to_depolarizing_when_not_completely_positive(monkeypatch):
+    # this radial winner ties the depolarizing channel within TIE_RTOL; let
+    # any winner lead, so that cp_check alone decides
+    monkeypatch.setattr(optimizer, "TIE_RTOL", -1.0)
     fam = radial_family()
     dep = channels.depolarizing(2, 2.0)
     found = maximize_qfi(fam, 0.6, 2.0, starts=2, seed=0)
