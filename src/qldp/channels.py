@@ -49,8 +49,13 @@ class AffineChannel:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(d=int(data["d"]), A=np.array(data["A"], dtype=float),
-                   c=np.array(data["c"], dtype=float))
+        try:
+            d = int(data["d"])
+            A = np.array(data["A"], dtype=float)
+            c = np.array(data["c"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed channel: {exc}") from None
+        return cls(d=d, A=A, c=c)
 
     @classmethod
     def load(cls, path):

@@ -79,7 +79,10 @@ def _parse_grid(spec):
 def _load_density(path):
     with open(path) as fh:
         data = json.load(fh)
-    arr = np.array(data, dtype=float)
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: not a numeric array: {exc}") from None
     # a matrix of [re, im] pairs; whether it is a state is
     # `divergence.hockey_stick`'s check
     if arr.ndim != 3 or arr.shape[2] != 2:

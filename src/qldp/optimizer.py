@@ -19,9 +19,17 @@ swapping the two maximizations gives, with g = e^eps,
     S = max_{||u||=1} (1 + g) ||B^T u|| - (g - 1) c^T u
       = max_{||z||=1, z in R^r} ||(1 + g) B z - (g - 1) c||
 (convex in z, so the maximum over the ball is on the sphere). For r = 1,
-z = +-1. For r = 2 it is the trust-region subproblem on the circle,
-solved exactly, hard cases included, by `sphere.max_norm_on_sphere`. So
-every candidate of either rank is scored exactly; no Frank-Wolfe runs here.
+z = +-1, a closed form in ||b||^2, ||c||^2 and |<b, c>|. For r = 2 it is
+the trust-region subproblem on the circle, solved exactly, hard cases
+included, by `sphere.max_norm_on_sphere`. So every candidate of either
+rank is scored exactly; no Frank-Wolfe runs here.
+
+Scoring from inner products. A candidate (B, c) is scored at its
+projection t (B, c) without building it: the output and its derivative
+at the projection are t (B P^T w + c) and t B P^T dw, so their inner
+products are t^2 times those of the unscaled columns, and the QFI is
+`qfi.qubit_qfi_kernel` of the three, the one qubit QFI formula (the
+checked `qfi.qfi_qubit` calls it too).
 
 c = 0 is solved. The feasible set sigma_1(A) <= kappa, with
 kappa = (e^eps - 1) / (e^eps + 1), is the convex hull of kappa O(3). The QFI
@@ -40,6 +48,7 @@ depolarizing channel is reported instead if any check fails.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -85,43 +94,66 @@ def _span_basis(w, dw):
 
 def _span_sup(B, c, g):
     """The exact certification supremum of A = B P^T at g = e^eps:
-    max over unit z in R^r of ||(1 + g) B z - (g - 1) c||, r = 1 or 2."""
-    b = (g - 1.0) * c
+    max over unit z in R^r of ||(1 + g) B z - (g - 1) c||, r = 1 or 2.
+
+    For r = 1, with b = B[:, 0], it is max ||(1 + g) b +- (g - 1) c||
+      = sqrt((1 + g)^2 ||b||^2 + (g - 1)^2 ||c||^2 + 2 (g^2 - 1) |<b, c>|),
+    from three inner products; every term is non-negative, so nothing
+    cancels. For r = 2 it is `max_norm_on_sphere`."""
     if B.shape[1] == 1:
-        a = (1.0 + g) * B[:, 0]
-        return max(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
-    return max_norm_on_sphere((1.0 + g) * B, b)
+        b = B.ravel()
+        bb, cc = float(np.dot(b, b)), float(np.dot(c, c))
+        bc = abs(float(np.dot(b, c)))
+        return math.sqrt((1.0 + g) ** 2 * bb + (g - 1.0) ** 2 * cc
+                         + 2.0 * (g - 1.0) * (g + 1.0) * bc)
+    return max_norm_on_sphere((1.0 + g) * B, (g - 1.0) * c)
 
 
-def _project(A, c, sup, g):
-    """Scale (A, c), whose certification supremum is `sup`, by
-    t = min(1, (g - 1) / sup) onto the set of eps-LDP channels."""
-    if sup <= g - 1.0:
-        return A, c
-    t = (g - 1.0) / sup
-    return t * A, t * c
+def _project(sup, g):
+    """The scale t = min(1, (g - 1) / sup) that takes a point (A, c) whose
+    certification supremum is `sup` to (tA, tc), on the set of eps-LDP
+    channels."""
+    return 1.0 if sup <= g - 1.0 else (g - 1.0) / sup
 
 
-def _qfi_of(A, c, w, dw):
-    """Output QFI of the channel (A, c), or -inf when the output state
-    leaves the open Bloch ball."""
-    wbar = A @ w + c
-    if float(wbar @ wbar) >= 1.0:
+def _qfi_of(ww, dd, wd):
+    """Output QFI from the inner products ||wbar||^2, ||dwbar||^2 and
+    <wbar, dwbar> of the output state and its derivative, or -inf when the
+    output state leaves the open Bloch ball."""
+    if ww >= 1.0:
         return -np.inf
-    return qfi_mod.qfi_qubit(wbar, A @ dw).value
+    return qfi_mod.qubit_qfi_kernel(ww, dd, wd)[0]
+
+
+def _channel_qfi(A, c, w, dw):
+    """Output QFI of the channel (A, c) at (w, dw), by `_qfi_of`."""
+    wbar, dwbar = A @ w + c, A @ dw
+    return _qfi_of(float(wbar @ wbar), float(dwbar @ dwbar),
+                   float(wbar @ dwbar))
+
+
+def _score(B, c, pq, g):
+    """Output QFI of (A, c), A = B P^T, at its projection (tA, tc), from
+    inner products; the columns of pq are P^T w and P^T dw. The columns of
+    Y are wbar / t = A w + c and dwbar / t = A dw."""
+    t = _project(_span_sup(B, c, g), g)
+    Y = B @ pq
+    Y[:, 0] += c
+    (ww, wd), (_, dd) = (Y.T @ Y).tolist()
+    return _qfi_of(t * t * ww, t * t * dd, t * t * wd)
 
 
 def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
     """Multi-start coordinate pattern search over (B, c), A = B P^T, at
     g = e^eps. Starts are the depolarizing point shrink * P, random
     perturbations of it and c = 0 rotations of it; candidates are scored at
-    their projection. Returns the best (A, c) found, projected, and the
-    number of evaluations."""
+    their projection, from inner products. Returns the best (A, c) found,
+    projected, and the number of evaluations."""
     P = _span_basis(w, dw)
     n, r = P.shape
     k = n * r
     dim = k + n
-    pw, pdw = P.T @ w, P.T @ dw
+    pq = np.column_stack([P.T @ w, P.T @ dw])
     dep = np.zeros(dim)
     dep[:k] = (shrink * P).ravel()
 
@@ -142,12 +174,8 @@ def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
     def split(x):
         return x[:k].reshape(n, r), x[k:]
 
-    def project(x):
-        B, c = split(x)
-        return _project(B, c, _span_sup(B, c, g), g)
-
     def objective(x):
-        return _qfi_of(*project(x), pw, pdw)
+        return _score(*split(x), pq, g)
 
     best_x = dep.copy()
     best_f = -np.inf
@@ -178,8 +206,9 @@ def _pattern_search(w, dw, g, shrink, starts, seed, max_evals):
         if f > best_f:
             best_f, best_x = f, x
 
-    B, c = project(best_x)
-    return B @ P.T, c, total_evals
+    B, c = split(best_x)
+    t = _project(_span_sup(B, c, g), g)
+    return (t * B) @ P.T, t * c, total_evals
 
 
 def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
@@ -191,7 +220,8 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     is 0; `starts` and `seed` are echoed). Otherwise a multi-start pattern
     search over A = B P^T restricted to span{w, dw} (6 numbers when w is
     parallel to dw, 9 otherwise), every candidate scored at its projection
-    with the exact supremum on the span, not a Frank-Wolfe estimate. The
+    with the exact supremum on the span, not a Frank-Wolfe estimate, from
+    inner products by the qubit QFI kernel (`_score`). The
     projected winner must lead the depolarizing QFI by more than TIE_RTOL
     relative and pass complete positivity, and only then is certified; the
     depolarizing channel is reported instead if the winner fails any of
@@ -207,7 +237,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     cap = bounds.fisher_cap(fam, lam, eps, c_zero)  # dw = 0 raises, unsearched
     w, dw = fam.point(lam)
     dep_ch = channels.depolarizing(2, eps)
-    dep_qfi = _qfi_of(dep_ch.A, dep_ch.c, w, dw)
+    dep_qfi = _channel_qfi(dep_ch.A, dep_ch.c, w, dw)
     g = float(np.exp(eps))
     shrink = float(dep_ch.A[0, 0])  # depolarizing 1 - p at this budget
 
@@ -216,7 +246,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         A, c, evaluations = _pattern_search(w, dw, g, shrink, starts, seed,
                                             max_evals)
         found = channels.AffineChannel(d=2, A=A, c=c)
-        found_qfi = _qfi_of(A, c, w, dw)
+        found_qfi = _channel_qfi(A, c, w, dw)
         # the depolarizing start is always feasible: report a winner only
         # when it leads by more than rounding (TIE_RTOL), and certify only
         # one that passes the cheaper checks

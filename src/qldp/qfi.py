@@ -1,7 +1,8 @@
 """Quantum Fisher information for scalar parameter families.
 
 Two routes are provided and cross-checked in the tests:
-  * the qubit closed form in Bloch coordinates,
+  * the qubit closed form in Bloch coordinates, written once in
+    `qubit_qfi_kernel` on the inner products of w and dw,
   * the SLD eigen-decomposition, for qudits in Bloch coordinates
     (`qfi_qudit`) and for density matrices (`qfi_sld_oracle`).
 """
@@ -63,19 +64,34 @@ def family_derivative(fam, lam, h=1e-5):
     return (wp - wm) / (2.0 * h)
 
 
+def qubit_qfi_kernel(ww, dd, wd):
+    """The qubit QFI from the inner products ww = ||w||^2, dd = ||dw||^2
+    and wd = <w, dw>, unchecked: (value, branch), with value
+    dd + wd^2 / (1 - ||w||^2) in the interior and dd on the pure boundary
+    ||w|| >= 1 - BOUNDARY_TOL. The one place the formula is written:
+    `qfi_qubit` checks its vectors and calls it, and the channel search
+    calls it on every candidate."""
+    r = math.sqrt(ww)
+    if r >= 1.0 - BOUNDARY_TOL:
+        return dd, "boundary"
+    return dd + wd * wd / (1.0 - r * r), "interior"
+
+
 def qfi_qubit(w, dw):
-    """Qubit QFI: ||dw||^2 + <w, dw>^2 / (1 - ||w||^2) in the interior,
-    ||dw||^2 on the pure boundary. w must pass `bloch.in_qubit_ball`."""
+    """Qubit QFI of a Bloch vector w and its derivative dw, each of length
+    3, by `qubit_qfi_kernel`. w must pass `bloch.in_qubit_ball` and dw must
+    be finite; InvalidInputError otherwise."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    r = float(np.linalg.norm(w))
-    dd = float(dw @ dw)
+    if w.shape != (3,) or dw.shape != (3,):
+        raise InvalidInputError(
+            f"expected two qubit Bloch vectors of length 3, got shapes "
+            f"{w.shape} and {dw.shape}")
+    ww, dd = float(w @ w), float(dw @ dw)
+    r = math.sqrt(ww)
     if not (bloch.in_qubit_ball(r) and dd < math.inf):  # False on NaN
         raise InvalidInputError(f"need ||w|| <= 1 and finite dw, got {r}, {dd}")
-    if r >= 1.0 - BOUNDARY_TOL:
-        return QfiResult(value=dd, branch="boundary")
-    inner = float(w @ dw)
-    return QfiResult(value=dd + inner * inner / (1.0 - r * r), branch="interior")
+    return QfiResult(*qubit_qfi_kernel(ww, dd, float(w @ dw)))
 
 
 def qfi_qudit(d, w, dw):

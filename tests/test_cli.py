@@ -238,6 +238,17 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
     nan_rho = density_file(tmp_path, "nan_rho.json", nan_rho)
     assert run_cli(capsys, "divergence", "--gamma", "1.5", "--rho", nan_rho,
                    "--sigma", rho) == (3, "")
+    # a ragged or non-numeric density or channel file is bad input
+    for k, data in enumerate(([[[1, 0], [0, 0]], [[0, 0]]], "abc")):
+        path = tmp_path / f"bad_rho{k}.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "divergence", "--gamma", "1", "--rho",
+                       str(path), "--sigma", rho) == (3, ""), data
+    for k, A in enumerate(("x", [[0.5, 0, 0], [0, 0.5], [0, 0, 0.5]])):
+        path = tmp_path / f"bad_channel{k}.json"
+        path.write_text(json.dumps({"d": 2, "A": A, "c": [0] * 3}))
+        assert run_cli(capsys, "certify", "--channel", str(path),
+                       "--eps", "1") == (3, ""), A
 
 
 def test_unknown_flag_rejected():

@@ -13,7 +13,7 @@ from qldp.channels import depolarizing
 from qldp.divergence import hockey_stick, hockey_stick_qubit
 from qldp.estimation import sld_measurement
 from qldp.exceptions import InvalidBudgetError, InvalidInputError, NotAStateError
-from qldp.qfi import qfi_sld_oracle, radial_family
+from qldp.qfi import qfi_qubit, qfi_sld_oracle, radial_family
 
 NEGATIVE = np.diag([1.5, -0.5])  # Hermitian, trace 1, eigenvalue -0.5
 TRACE_2 = np.diag([0.9, 0.9])
@@ -39,6 +39,14 @@ REPRODUCERS = {
                            NotAStateError),
     "hockey-stick-qubit-ball": (
         lambda: hockey_stick_qubit([2.0, 0, 0], [0.0, 0, 0], 1.5),
+        InvalidInputError),
+    "hockey-stick-qubit-row-length": (
+        lambda: hockey_stick_qubit([0.5, 0, 0, 0, 0], [0.5, 0, 0, 0, 0], 1.0),
+        InvalidInputError),
+    "hockey-stick-qubit-scalar": (lambda: hockey_stick_qubit(0.5, 0.5, 1.0),
+                                  InvalidInputError),
+    "qfi-qubit-row-length": (
+        lambda: qfi_qubit([0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0]),
         InvalidInputError),
     "cap-thm1-negative": (lambda: fisher_cap_thm1(radial_family(), 0.6, -1.0),
                           InvalidBudgetError),

@@ -12,12 +12,15 @@ from qldp.exceptions import (
 )
 from qldp.optimizer import maximize_qfi, sweep
 from qldp.qfi import (
+    BOUNDARY_TOL,
     StateFamily,
     family_by_name,
     qfi_qubit,
+    qubit_qfi_kernel,
     radial_family,
     rotation_family,
 )
+from qldp.sphere import max_norm_on_sphere
 
 
 def _dep_qfi(fam, lam, eps):
@@ -230,7 +233,8 @@ def test_rank2_winners_tie_depolarizing_after_exact_projection():
             shrink = float(channels.depolarizing(2, eps).A[0, 0])
             A, c, _ = optimizer._pattern_search(w, dw, g, shrink, 8, 0, 20000)
             sup, _ = ldp.ldp_sup(channels.AffineChannel(d=2, A=A, c=c), eps)
-            A, c = optimizer._project(A, c, sup, g)
+            t = optimizer._project(sup, g)
+            A, c = t * A, t * c
             value = qfi_qubit(A @ w + c, A @ dw).value
             assert value >= (1.0 - 1e-9) * _dep_qfi(fam, 0.3, eps), (fam.label, eps)
 
@@ -248,6 +252,99 @@ def test_tied_winner_reports_the_depolarizing_channel(family, lam, eps):
     assert np.array_equal(res.best_channel.A, dep.A)
     assert np.array_equal(res.best_channel.c, dep.c)
     assert res.best_qfi == _dep_qfi(fam, lam, eps)
+
+
+def _vector_score(B, c, P, w, dw, g):
+    """The oracle for optimizer._score, by arrays: the rank-1 supremum by
+    two norms, (A, c) = (B P^T, c) scaled onto the eps-LDP set, then
+    qfi_qubit of the output, -inf outside the open ball."""
+    a, b = (1.0 + g) * B, (g - 1.0) * c
+    if B.shape[1] == 1:
+        sup = max(np.linalg.norm(a[:, 0] - b), np.linalg.norm(a[:, 0] + b))
+    else:
+        sup = max_norm_on_sphere(a, b)
+    A = B @ P.T
+    if sup > g - 1.0:
+        t = (g - 1.0) / sup
+        A, c = t * A, t * c
+    wbar = A @ w + c
+    if float(wbar @ wbar) >= 1.0:
+        return -np.inf
+    return qfi_qubit(wbar, A @ dw).value
+
+
+def test_inner_product_score_matches_vector_path():
+    """Rank 1 and 2: c = 0, outputs near the pure boundary and on its
+    BOUNDARY_TOL band, and projections that leave the Bloch ball. Between
+    1e-9 and 1e-4 of the boundary 1 - ||wbar||^2 is too ill-conditioned for
+    two roundings of ||wbar||^2 to agree to 1e-12, so no case lands there.
+    An eps-LDP map keeps a state in the closed ball, so an output leaves it
+    only for a w outside it: kind 6 draws ||w|| in (1.5, 3)."""
+    rng = np.random.default_rng(31)
+    seen = {"outside": 0, "projected": 0, "c = 0": 0, "near": 0, "band": 0}
+    for k in range(1200):
+        rank = 1 + k % 2
+        kind = k % 10
+        dw = rng.standard_normal(3)
+        w = rng.standard_normal(3) if rank == 2 else dw.copy()
+        w *= (rng.uniform(1.5, 3.0) if kind == 6 else rng.uniform(-1.0, 1.0)
+              ) / np.linalg.norm(w)
+        P = optimizer._span_basis(w, dw)
+        assert P.shape == (3, rank)
+        g = float(np.exp(rng.uniform(0.01, 5.0)))
+        B = rng.standard_normal((3, rank)) * rng.uniform(0.0, 0.6)
+        c = rng.standard_normal(3) * rng.uniform(0.0, 0.6)
+        if kind in (0, 1):
+            c = np.zeros(3)
+        elif kind in (2, 3, 4, 5):
+            # a feasible point (t = 1) whose output sits 1e-3, 1e-4, 1e-10
+            # or 1e-13 inside the pure boundary
+            gap = 10.0 ** -rng.choice([3.0, 4.0, 10.0, 13.0])
+            B *= 1e-3 * gap * (g - 1.0) / (g + 1.0) / np.linalg.norm(B)
+            out = B @ (P.T @ w)
+            e = rng.standard_normal(3)
+            e /= np.linalg.norm(e)
+            # ||out + c|| = 1 - gap along the direction e
+            s = -(out @ e) + np.sqrt((out @ e) ** 2 - out @ out
+                                     + (1.0 - gap) ** 2)
+            c = s * e
+        pq = np.column_stack([P.T @ w, P.T @ dw])
+        new = optimizer._score(B, c, pq, g)
+        old = _vector_score(B, c, P, w, dw, g)
+        assert (new == -np.inf) == (old == -np.inf), k
+        if old == -np.inf:
+            seen["outside"] += 1
+            continue
+        assert abs(new - old) <= 1e-12 * abs(old), (k, new, old)
+        if optimizer._span_sup(B, c, g) > g - 1.0:
+            seen["projected"] += 1
+        if not np.any(c):
+            seen["c = 0"] += 1
+        wbar = B @ (P.T @ w) + c
+        r = float(np.linalg.norm(wbar))
+        if r > 1.0 - 1e-9:
+            seen["band"] += 1
+        elif r > 1.0 - 2e-3:
+            seen["near"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_qfi_qubit_is_the_kernel():
+    rng = np.random.default_rng(32)
+    for k in range(300):
+        w = rng.standard_normal(3)
+        w *= (1.0 - 10.0 ** -rng.uniform(0.0, 14.0)) / np.linalg.norm(w)
+        if k % 3 == 0:
+            w *= rng.uniform(0.0, 1.0)
+        dw = rng.standard_normal(3)
+        res = qfi_qubit(w, dw)
+        value, branch = qubit_qfi_kernel(float(w @ w), float(dw @ dw),
+                                         float(w @ dw))
+        assert (res.value, res.branch) == (value, branch)
+        on_boundary = np.linalg.norm(w) >= 1.0 - BOUNDARY_TOL
+        assert branch == ("boundary" if on_boundary else "interior")
+        if on_boundary:
+            assert value == dw @ dw
 
 
 def test_restriction_to_span_keeps_qfi_and_never_raises_sup():
