@@ -50,12 +50,16 @@ class AffineChannel:
     @classmethod
     def from_dict(cls, data):
         try:
-            d = int(data["d"])
+            d = data["d"]
             A = np.array(data["A"], dtype=float)
             c = np.array(data["c"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed channel: {exc}") from None
-        return cls(d=d, A=A, c=c)
+        if not (isinstance(d, (int, float)) and not isinstance(d, bool)
+                and (isinstance(d, int) or d.is_integer())):
+            raise InvalidInputError(
+                f"malformed channel: d must be an integer, got {d!r}")
+        return cls(d=int(d), A=A, c=c)
 
     @classmethod
     def load(cls, path):
@@ -105,7 +109,7 @@ def image_radius(ch):
     The objective is convex in w, so the maximum sits on the sphere
     ||w|| = r_d: the exact max over unit z of ||r_d A z + c||.
     """
-    return max_norm_on_sphere(bloch.max_radius(ch.d) * ch.A, -ch.c)
+    return max_norm_on_sphere(bloch.max_radius(ch.d) * ch.A, -ch.c)[0]
 
 
 def cp_check(ch):

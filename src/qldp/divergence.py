@@ -42,7 +42,7 @@ def hockey_stick_unchecked(rho, sigma, gamma):
 
 def hockey_stick_qubit(w, v, gamma):
     """Closed-form qubit divergence from Bloch vectors (batched over rows
-    of length 3), each `bloch.in_qubit_ball`:
+    of length 3, the two batches broadcast), each `bloch.in_qubit_ball`:
     max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
     if not 1.0 <= gamma < math.inf:
         raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
@@ -51,6 +51,11 @@ def hockey_stick_qubit(w, v, gamma):
     if w.shape[-1:] != (3,) or v.shape[-1:] != (3,):
         raise InvalidInputError(
             f"rows must have length 3, got shapes {w.shape} and {v.shape}")
+    try:
+        np.broadcast_shapes(w.shape, v.shape)
+    except ValueError:
+        raise InvalidInputError(f"batches of shapes {w.shape} and {v.shape} "
+                                "do not broadcast") from None
     if not (np.all(bloch.in_qubit_ball(np.linalg.norm(w, axis=-1)))
             and np.all(bloch.in_qubit_ball(np.linalg.norm(v, axis=-1)))):
         raise InvalidInputError("rows must be finite vectors in the Bloch ball")

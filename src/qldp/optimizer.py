@@ -22,7 +22,7 @@ swapping the two maximizations gives, with g = e^eps,
 z = +-1, a closed form in ||b||^2, ||c||^2 and |<b, c>|. For r = 2 it is
 the trust-region subproblem on the circle, solved exactly, hard cases
 included, by `sphere.max_norm_on_sphere`. So every candidate of either
-rank is scored exactly; no Frank-Wolfe runs here.
+rank is scored exactly.
 
 Scoring from inner products. A candidate (B, c) is scored at its
 projection t (B, c) without building it: the output and its derivative
@@ -106,7 +106,7 @@ def _span_sup(B, c, g):
         bc = abs(float(np.dot(b, c)))
         return math.sqrt((1.0 + g) ** 2 * bb + (g - 1.0) ** 2 * cc
                          + 2.0 * (g - 1.0) * (g + 1.0) * bc)
-    return max_norm_on_sphere((1.0 + g) * B, (g - 1.0) * c)
+    return max_norm_on_sphere((1.0 + g) * B, (g - 1.0) * c)[0]
 
 
 def _project(sup, g):
@@ -220,12 +220,11 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     is 0; `starts` and `seed` are echoed). Otherwise a multi-start pattern
     search over A = B P^T restricted to span{w, dw} (6 numbers when w is
     parallel to dw, 9 otherwise), every candidate scored at its projection
-    with the exact supremum on the span, not a Frank-Wolfe estimate, from
-    inner products by the qubit QFI kernel (`_score`). The
-    projected winner must lead the depolarizing QFI by more than TIE_RTOL
-    relative and pass complete positivity, and only then is certified; the
-    depolarizing channel is reported instead if the winner fails any of
-    the three.
+    with the exact supremum on the span, from inner products by the qubit
+    QFI kernel (`_score`). The projected winner must lead the depolarizing
+    QFI by more than TIE_RTOL relative and pass complete positivity, and
+    only then is certified; the depolarizing channel is reported instead if
+    the winner fails any of the three.
     """
     if fam.d != 2:
         raise UnsupportedDimensionError("channel search is qubit-only")

@@ -1,24 +1,21 @@
-"""Maximization of convex functions over spheres.
+"""Exact maximization of a norm over the unit sphere.
 
 `max_norm_on_sphere` solves max over unit z of ||M z - b|| exactly, as a
-trust-region subproblem: `channels.image_radius` and the channel search's
-rank-2 certification supremum (`optimizer._span_sup`) call it.
-
-`maximize_convex_on_sphere` is multi-start conditional gradient
-(Frank-Wolfe) ascent, used by `ldp.ldp_sup` (the LDP supremum). A convex
-function attains its maximum over a ball on the boundary, and Frank-Wolfe
-steps are monotone ascent there: the next iterate is the boundary maximizer
-of the linearization. Multi-start from a deterministic seed set handles the
-non-concavity of the restriction.
+trust-region subproblem, for every sphere supremum in the package: the
+qubit LDP supremum (`ldp.ldp_sup`), the image radius
+(`channels.image_radius`) and the channel search's rank-2 certification
+supremum (`optimizer._span_sup`). The Frank-Wolfe ascent below has no
+caller; the benchmark's tracer still wraps it by name.
 """
+
+import math
 
 import numpy as np
 
-GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
 
 def max_norm_on_sphere(M, b):
-    """max over unit z in R^r of ||M z - b|| for an n x r matrix M.
+    """max over unit z in R^r of ||M z - b||, with a maximizer z, as
+    (value, z); M (n x r) and b are float arrays.
 
     With M^T M = Q diag(h) Q^T (h_1 >= h_2 >= ...) and beta = Q^T M^T b,
     strong duality for the trust-region subproblem (More and Sorensen,
@@ -28,17 +25,25 @@ def max_norm_on_sphere(M, b):
     Its minimizer solves psi(lambda) = sum_i beta_i^2 / (lambda - h_i)^2
     = 1, or is h_1 when psi <= 1 there (the hard case). Newton steps on
     psi^(-1/2) = 1, which is concave and increasing in lambda, start left
-    of the root at h_1 + |beta_1| (or the next double above h_1) and stay
-    left of it. So sqrt(D) at the last step is never below the answer but
-    for rounding, and its error is quadratic in that of lambda; the hard
-    case needs no separate completion. M and b are float arrays.
+    of the root at h_1 + |beta_1| (or the next double above h_1; at h_1
+    itself when every beta is 0) and stay left of it. So sqrt(D) at the
+    last step is never below the answer but for rounding, and its error is
+    quadratic in that of lambda.
+
+    For unit z, y = Q^T z and any lambda >= h_1, ||M z - b||^2 is
+    D(lambda) - sum_i (lambda - h_i)(y_i - y*_i)^2, y*_i = -beta_i /
+    (lambda - h_i). So y = y*, except that y_1 completes z to unit length,
+    with the sign of -beta_1, when lambda - h_1 <= 1e-8 lambda (the hard
+    case and near it): rounding spoils y*_1 there, and errors cost least.
     """
     h, Q = np.linalg.eigh(M.T @ M)
     h, Q = h[::-1], Q[:, ::-1]
     beta = Q.T @ (M.T @ b)
     keep = beta != 0.0
     beta2, hk = beta[keep] ** 2, h[keep]
-    lam = max(h[0] + abs(beta[0]), np.nextafter(h[0], np.inf))
+    lam = h[0] + abs(beta[0])
+    if keep.any():
+        lam = max(lam, np.nextafter(h[0], np.inf))
     for _ in range(100):
         t = beta2 / (lam - hk) ** 2
         psi = t.sum()
@@ -48,25 +53,14 @@ def max_norm_on_sphere(M, b):
         if not lam + step > lam:
             break
         lam += step
-    return float(np.sqrt(lam + b @ b + (beta2 / (lam - hk)).sum()))
-
-
-def fibonacci_sphere(n=256):
-    """Deterministic quasi-uniform seed set on S^2, shape (n, 3)."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    theta = 2.0 * np.pi * i / GOLDEN
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-
-
-def seed_directions(n, extra):
-    """Seed unit vectors in R^3: the nonzero `extra` rows, normalized, on
-    top of the n-point Fibonacci lattice."""
-    extra = np.asarray(extra, dtype=float)
-    norms = np.linalg.norm(extra, axis=1, keepdims=True)
-    keep = norms[:, 0] > 0
-    return np.vstack([extra[keep] / norms[keep], fibonacci_sphere(n)])
+    y = np.zeros_like(beta)
+    y[keep] = -beta[keep] / (lam - hk)
+    if lam - h[0] <= 1e-8 * lam:
+        top = math.sqrt(max(0.0, 1.0 - y[1:] @ y[1:]))
+        y[0] = top if beta[0] <= 0.0 else -top
+    z = Q @ y
+    value = float(np.sqrt(lam + b @ b + (beta2 / (lam - hk)).sum()))
+    return value, z / np.linalg.norm(z)
 
 
 def maximize_convex_on_sphere(value, gradient, seeds):

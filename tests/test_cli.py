@@ -130,6 +130,17 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
     bad.write_text("{not json")
     code, _ = run_cli(capsys, "tighteps", "--channel", str(bad))
     assert code == 3
+    # a channel dimension must be an integral number
+    half = np.eye(3) * 0.5
+    for d in (2.7, "2"):
+        path = tmp_path / f"d-{d}.json"
+        path.write_text(json.dumps({"d": d, "A": half.tolist(),
+                                    "c": [0.0, 0.0, 0.0]}))
+        for argv in (["certify", "--channel", str(path), "--eps", "1.0"],
+                     ["tighteps", "--channel", str(path)],
+                     ["audit", "--channel", str(path), "--eps", "1.0",
+                      "--n", "5"]):
+            assert run_cli(capsys, *argv) == (3, ""), (d, argv)
     code, _ = run_cli(capsys, "scaling", "--family", "radial",
                       "--lambda", "0.6", "--alpha", "0.01",
                       "--eps-grid", "0.5:0.1:20")

@@ -9,7 +9,7 @@ import pytest
 
 import qldp
 from qldp.bounds import fisher_cap, fisher_cap_thm1, fisher_cap_thm2
-from qldp.channels import depolarizing
+from qldp.channels import AffineChannel, depolarizing
 from qldp.divergence import hockey_stick, hockey_stick_qubit
 from qldp.estimation import sld_measurement
 from qldp.exceptions import InvalidBudgetError, InvalidInputError, NotAStateError
@@ -45,6 +45,17 @@ REPRODUCERS = {
         InvalidInputError),
     "hockey-stick-qubit-scalar": (lambda: hockey_stick_qubit(0.5, 0.5, 1.0),
                                   InvalidInputError),
+    "hockey-stick-qubit-broadcast": (
+        lambda: hockey_stick_qubit(np.zeros((2, 3)), np.zeros((3, 3)), 1.5),
+        InvalidInputError),
+    "channel-fractional-d": (
+        lambda: AffineChannel.from_dict({"d": 2.7, "A": np.eye(3).tolist(),
+                                         "c": [0.0, 0.0, 0.0]}),
+        InvalidInputError),
+    "channel-string-d": (
+        lambda: AffineChannel.from_dict({"d": "2", "A": np.eye(3).tolist(),
+                                         "c": [0.0, 0.0, 0.0]}),
+        InvalidInputError),
     "qfi-qubit-row-length": (
         lambda: qfi_qubit([0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0]),
         InvalidInputError),

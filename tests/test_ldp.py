@@ -79,6 +79,106 @@ def test_sup_matches_two_ball_brute_force(rng):
         assert np.max(vals) >= sup - 0.05 * max(sup, 1.0)
 
 
+def _objective(A, c, g, U):
+    """(1 + g) ||A^T u|| - (g - 1) c.u on unit rows U."""
+    return (1.0 + g) * np.linalg.norm(U @ A, axis=1) - (g - 1.0) * (U @ c)
+
+
+def _polish(A, c, g, u, steps=30):
+    """The largest objective met along Riemannian Newton steps on the unit
+    sphere from u (the tangent system solved by least squares, so a flat
+    direction is left alone), until a step moves u by less than 1e-13."""
+    best = float(_objective(A, c, g, u[None, :])[0])
+    for _ in range(steps):
+        atu = A.T @ u
+        r = np.linalg.norm(atu)
+        if r == 0.0:
+            break
+        K = A @ A.T
+        grad = (1.0 + g) * K @ u / r - (g - 1.0) * c
+        hess = (1.0 + g) * (K - np.outer(K @ u, K @ u) / r**2) / r
+        T = np.linalg.svd(u[None, :])[2][1:].T  # tangent basis at u
+        H = T.T @ hess @ T - (u @ grad) * np.eye(2)
+        step = np.linalg.lstsq(H, -T.T @ grad, rcond=1e-14)[0]
+        u = u + T @ step
+        u /= np.linalg.norm(u)
+        best = max(best, float(_objective(A, c, g, u[None, :])[0]))
+        if np.linalg.norm(step) < 1e-13:
+            break
+    return best
+
+
+def _fibonacci_directions(n):
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(1.0 - z * z)
+    theta = np.pi * (3.0 - np.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+
+
+def _oracle_sup(A, c, g, directions):
+    """A dense direction grid, its 8 best points and the signed left
+    singular vectors of A Newton-polished. Newton stops at any stationary
+    point, and at sigma_2 ~ sigma_1 with c = 0 half the grid's great circle
+    runs to the saddle u_2; the singular seeds hold the maximizer then."""
+    f = _objective(A, c, g, directions)
+    U = np.linalg.svd(A)[0].T
+    seeds = np.vstack([directions[np.argsort(f)[-8:]], U, -U])
+    return max(float(f.max()), *(_polish(A, c, g, u) for u in seeds))
+
+
+def test_sup_matches_newton_polished_direction_grid():
+    """200 channels: equal and nearly equal (1 - 1e-9) top singular values,
+    c orthogonal to the top left singular vector (the hard case of the
+    trust-region solve), c = 0, A = 0 and generic (A, c). The value agrees
+    with the oracle to 1e-12 relative, is never below it but for rounding,
+    and the returned u attains it."""
+    rng = np.random.default_rng(2026)
+    directions = _fibonacci_directions(20_000)
+    for k in range(200):
+        eps = float(rng.uniform(0.01, 5.0))
+        g = np.exp(eps)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = np.sort(rng.uniform(0.0, 0.5, 3))[::-1]
+        if k % 4 == 1:
+            s[1] = s[0]
+        elif k % 4 == 2:
+            s[1] = s[0] * (1.0 - 1e-9)
+        c = rng.standard_normal(3) * rng.uniform(0.01, 0.3)
+        kind = k // 4 % 5
+        if kind in (1, 2):
+            c -= (U[:, 0] @ c) * U[:, 0]
+        elif kind == 3:
+            c = np.zeros(3)
+        if k == 199:
+            s, c = np.zeros(3), np.zeros(3)
+        A = U @ np.diag(s) @ V.T
+        value, u = ldp_sup(AffineChannel(2, A, c), eps)
+        if k == 199:
+            assert value == 0.0
+            continue
+        oracle = _oracle_sup(A, c, g, directions)
+        scale = (1.0 + g) * s[0] + (g - 1.0) * np.linalg.norm(c)
+        assert value >= oracle - 1e-15 * scale, (k, value, oracle)
+        assert value <= oracle * (1.0 + 1e-12), (k, value, oracle)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15, k
+        at_u = float(_objective(A, c, g, u[None, :])[0])
+        assert at_u >= value * (1.0 - 1e-12), (k, at_u, value)
+
+
+def test_certify_refutes_the_frank_wolfe_stall():
+    """sigma_2 / sigma_1 = 0.998 with c in their plane: multi-start
+    Frank-Wolfe ascent stalled here and accepted the channel at margin
+    -1.98e-8; the exact margin is +1.05e-8, ten times MARGIN_TOL."""
+    t = 0.0998548138
+    A = t * np.diag([0.5, 0.499, 0.3])
+    c = t * 0.02 * np.array([np.cos(1.5), np.sin(1.5), 0.0])
+    cert = certify(AffineChannel(2, A, c), 0.1)
+    assert cert.verdict is False
+    assert 1.04e-8 <= cert.margin <= 1.06e-8
+
+
 def test_certify_depolarizing_at_half_budget_fails():
     cert = certify(depolarizing(2, 1.0), 0.5)
     assert not cert.verdict

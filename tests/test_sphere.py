@@ -23,7 +23,10 @@ def _polish(M, b, z, steps=30):
 
 def _dense_max(M, b, rng):
     """Dense oracle: a 2e5-angle circle grid for r = 2, 2e4 random unit
-    vectors otherwise; the 8 best points polished by `_polish`."""
+    vectors otherwise; the 8 best points and the signed right singular
+    vectors of M polished by `_polish` (Newton stops at any stationary
+    point, and with b = 0 and sigma_2 ~ sigma_1 half the grid runs to the
+    saddle v_2)."""
     r = M.shape[1]
     if r == 2:
         t = np.linspace(0.0, 2.0 * np.pi, 200_000, endpoint=False)
@@ -32,7 +35,9 @@ def _dense_max(M, b, rng):
         Z = rng.standard_normal((20_000, r))
         Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     f = np.linalg.norm(Z @ M.T - b, axis=1)
-    return max(float(f.max()), *(_polish(M, b, z) for z in Z[np.argsort(f)[-8:]]))
+    V = np.linalg.svd(M)[2]
+    seeds = np.vstack([Z[np.argsort(f)[-8:]], V, -V])
+    return max(float(f.max()), *(_polish(M, b, z) for z in seeds))
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (8, 3)])
@@ -40,7 +45,7 @@ def test_max_norm_matches_dense_oracle(n, r):
     """Equal and nearly equal top singular values, b = 0, b orthogonal to
     the top left singular vector (beta_1 = 0), beta_1 ~ 3e-14, and generic
     b. Both sides are exact up to rounding, so 'never below' allows four
-    ulps."""
+    ulps. The returned z is a unit vector that attains the value."""
     rng = np.random.default_rng(31 + r)
     for k in range(90):
         U, _, Vt = np.linalg.svd(rng.standard_normal((n, r)),
@@ -59,8 +64,10 @@ def test_max_norm_matches_dense_oracle(n, r):
             b -= (U[:, 0] @ b) * U[:, 0]
             if kind == 2:
                 b += 3e-14 / s[0] * U[:, 0]  # beta_1 = 3e-14
-        value = max_norm_on_sphere(M, b)
+        value, z = max_norm_on_sphere(M, b)
         oracle = _dense_max(M, b, rng)
         assert value >= oracle * (1.0 - 1e-15), (k, value, oracle)
         assert value <= oracle * (1.0 + 1e-12), (k, value, oracle)
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-15, k
+        assert np.linalg.norm(M @ z - b) >= value * (1.0 - 1e-12), k
 
