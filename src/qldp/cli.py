@@ -21,7 +21,12 @@ import numpy as np
 from . import bounds, channels, divergence, estimation, ldp
 from . import optimizer as opt_mod
 from . import qfi as qfi_mod
-from .exceptions import InvalidInputError, OutOfRegimeError, QldpError
+from .exceptions import (
+    InvalidInputError,
+    OutOfRegimeError,
+    QldpError,
+    check_count,
+)
 
 SCHEMA = "qldp/1"
 # a grid and its CSV rows take under 1 MB at the bound, at any dimension
@@ -222,10 +227,8 @@ def cmd_report(args):
     fam = _get_family(args)
     grid = _parse_grid(args.eps_grid)
     # refuse the counts before any file of the bundle is written
-    if not (1 <= args.trials <= estimation.MAX_TRIALS
-            and args.starts <= opt_mod.MAX_STARTS):
-        raise InvalidInputError(f"need 1 <= trials <= {estimation.MAX_TRIALS} "
-                                f"and starts <= {opt_mod.MAX_STARTS}")
+    check_count("trials", args.trials, 1, estimation.MAX_TRIALS)
+    check_count("starts", args.starts, 0, opt_mod.MAX_STARTS)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
 

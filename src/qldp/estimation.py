@@ -11,13 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, bounds, channels
-from .exceptions import InvalidInputError, RankDeficientError
+from .exceptions import InvalidInputError, RankDeficientError, check_count
 
 FULL_RANK_TOL = 1e-10
 MAX_COPIES = 2**63 - 1  # the multinomial sampler counts in int64
-# the counts of a run are (trials, d) int64: with the per-trial sums a run
-# peaks at ~260 MB at the bound at MAX_DIM = 16
+# trials are drawn and scored CHUNK_TRIALS at a time, so a run holds one
+# float per trial in each per-trial array (the score sums, the estimates and
+# their errors), ~8 MB each at the bound, and one chunk of counts
 MAX_TRIALS = 1_000_000
+CHUNK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -78,16 +80,25 @@ def _privatized_operating_point(fam, lam0, ch):
     return rho, drho
 
 
+def _score_sums(rng, meas, n_copies, trials):
+    """Per-trial sums of the SLD scores of n_copies measured outcomes. The
+    counts are drawn and scored CHUNK_TRIALS trials at a time: the chunks
+    draw the same counts as one batch, and their counts @ scores products
+    keep their last bits from one BLAS thread to two, where one product
+    over tens of thousands of trials at d = 16 does not."""
+    return np.concatenate([
+        rng.multinomial(n_copies, meas.probabilities,
+                        size=min(CHUNK_TRIALS, trials - k)) @ meas.scores
+        for k in range(0, trials, CHUNK_TRIALS)])
+
+
 def simulate(fam, lam0, ch, n_copies, trials, seed):
     """Run `trials` independent experiments of N = n_copies SLD
     measurements on the privatized state; return empirical statistics
     of the locally unbiased estimator."""
-    if not (isinstance(n_copies, (int, np.integer))
-            and isinstance(trials, (int, np.integer))
-            and 1 <= n_copies <= MAX_COPIES and 1 <= trials <= MAX_TRIALS):
-        raise InvalidInputError(
-            f"need integers 1 <= n_copies <= {MAX_COPIES} and "
-            f"1 <= trials <= {MAX_TRIALS}")
+    check_count("n_copies", n_copies, 1, MAX_COPIES)
+    check_count("trials", trials, 1, MAX_TRIALS)
+    check_count("seed", seed)
     rho, drho = _privatized_operating_point(fam, lam0, ch)
     meas = sld_measurement(rho, drho)
     fisher = meas.fisher
@@ -96,9 +107,8 @@ def simulate(fam, lam0, ch, n_copies, trials, seed):
         raise InvalidInputError(
             f"N * F = {scale} leaves the estimator undefined"
         )
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n_copies, meas.probabilities, size=trials)
-    score_sums = counts @ meas.scores
+    score_sums = _score_sums(np.random.default_rng(seed), meas, n_copies,
+                             trials)
     estimates = lam0 + score_sums / scale
     err = estimates - lam0
     return TrialStats(

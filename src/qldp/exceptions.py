@@ -4,6 +4,8 @@ All inherit from ValueError so callers that only care about "bad input"
 can catch one base class.
 """
 
+import numbers
+
 
 class QldpError(ValueError):
     """Base class for all package-specific errors."""
@@ -27,6 +29,17 @@ class NotAStateError(QldpError):
 
 class InvalidInputError(QldpError):
     """Malformed input (non-Hermitian matrix, shape mismatch, ...)."""
+
+
+def check_count(name, value, low=0, high=None):
+    """Raise InvalidInputError unless value is an integer (a Python or
+    numpy one, not a float) in [low, high]: the one check of seeds, counts
+    and sizes."""
+    if not (isinstance(value, numbers.Integral) and low <= value
+            and (high is None or value <= high)):
+        bound = "" if high is None else f" and <= {high}"
+        raise InvalidInputError(
+            f"need an integer {name} >= {low}{bound}, got {value!r}")
 
 
 class InvalidBudgetError(QldpError):

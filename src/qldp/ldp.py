@@ -12,11 +12,15 @@ subproblem, solved exactly by `sphere.max_norm_on_sphere` (no multi-start
 ascent, no c = 0 special case); every qubit supremum here is its value.
 
 In g = e^eps the certification margin sup - (g - 1) is
-    m(g) = max_{||u||=1} g (a_u - b_u - 1) + (a_u + b_u + 1),
-with a_u = ||A^T u|| and b_u = c^T u: a maximum of functions affine in g,
-hence convex. Every direction u, maximizing or not, gives an affine lower
-bound of m that is exact at the budget where u was found. `tight_epsilon`
-takes Newton steps on these bounds, which never pass the crossing of m.
+    max_{||u||=1} N(u) - g D(u),  N = 1 + a_u + b_u,  D = 1 - a_u + b_u,
+with a_u = ||A^T u|| and b_u = c^T u. So direction u needs e^eps >= N/D
+(no budget will do when D <= 0), and the tight budget is the fractional
+program
+    e^eps* = max_{||u||=1} (1 + a_u + b_u) / (1 - a_u + b_u).
+`tight_epsilon` solves it by Dinkelbach's iteration (W. Dinkelbach, "On
+nonlinear fractional programming", Management Science 13(7), 1967): the
+direction that `certify` refuses at one budget sets the next, the budget
+that direction needs, which is above the refused one and never above eps*.
 """
 
 import math
@@ -31,6 +35,7 @@ from .exceptions import (
     MAX_CHANNEL_BUDGET,
     UnsupportedDimensionError,
     check_channel_budget,
+    check_count,
 )
 # maximize_convex_on_sphere is uncalled; the benchmark's tracer pins it here
 from .sphere import max_norm_on_sphere, maximize_convex_on_sphere  # noqa: F401
@@ -88,23 +93,6 @@ def ldp_sup(ch, eps):
     return value, (u / norm if norm > 0 else z)
 
 
-def _slope_intercept(ch, u):
-    """The margin's affine lower bound at direction u, as the slope and the
-    intercept (a - b - 1, a + b + 1) in g = e^eps, with a = ||A^T u|| and
-    b = c^T u."""
-    a = float(np.linalg.norm(ch.A.T @ u))
-    b = float(ch.c @ u)
-    return a - b - 1.0, a + b + 1.0
-
-
-def _margin(ch, eps, u):
-    """Certification margin sup - (e^eps - 1) at maximizer u, grouped as
-    e^eps (a - b - 1) + (a + b + 1) to avoid the catastrophic cancellation
-    of two huge exponentials at large eps."""
-    slope, intercept = _slope_intercept(ch, u)
-    return float(np.exp(eps)) * slope + intercept
-
-
 def certify(ch, eps):
     """Exact certification result with a witness state pair. The margin and
     the verdict come from the `ldp_sup` value, never below the supremum."""
@@ -126,61 +114,43 @@ def certify(ch, eps):
 
 
 def tight_epsilon(ch):
-    """Smallest eps at which the channel certifies, to within TIGHT_EPS_TOL.
-    Raises DivergedError if the channel is not LDP even at
-    eps = MAX_CHANNEL_BUDGET.
+    """The smallest eps at which `certify` accepts the channel, up to the
+    convergence of Dinkelbach's iteration on the fractional program in the
+    module docstring. Raises DivergedError if the channel is not LDP even
+    at eps = MAX_CHANNEL_BUDGET.
 
-    A bracket [lo, hi] is kept on the margin test: the margin is positive
-    at lo and not at hi, and hi starts at the ceiling. The margin is convex
-    in g = e^eps, so it crosses zero once in the bracket, and the affine
-    lower bound of the direction found at lo, whose slope is then
-    negative, crosses zero at or before it: its Newton point never passes
-    the answer. Each step tests that point, aimed TIGHT_EPS_TOL / 2 short
-    so that a step landing on the crossing still raises lo, or the midpoint
-    when there is no Newton point below hi (a test at hi understated the
-    margin, so the bracket holds no crossing of the bounds). A test is
-    kept TIGHT_EPS_TOL inside both ends, so every step narrows the bracket
-    by at least that much. Once the bracket is at most 2 TIGHT_EPS_TOL
-    wide, lo + TIGHT_EPS_TOL closes it and its midpoint is returned. This
-    takes about 6 exact `ldp_sup` solves where bisection takes 32. With
-    c = 0 the direction is the top left singular vector of A, whose bound
-    is the margin (1 + g) s_1 - (g - 1) itself, so the answer is
-    ln((1 + s_1)/(1 - s_1)) to rounding after four solves.
+    The test at each budget is `certify`'s verdict. A refused budget's
+    witness direction u gives the step to eps(u) = log1p(2 a_u / D(u)),
+    the budget u needs: above the refused budget and never above the
+    answer, so the first step that certifies is returned, and `certify`
+    accepts what this returns by construction. With c = 0, u is the top
+    left singular vector of A and the first step from 0 lands on
+    ln((1 + s_1)/(1 - s_1)). A bracket [lo, hi] of the refused and the
+    certified budgets is the fallback for a step that makes no progress
+    (it leaves the bracket, as from a poor direction): it then takes
+    midpoints, and once hi - lo <= TIGHT_EPS_TOL returns the certified hi.
     """
     cap = MAX_CHANNEL_BUDGET
-
-    def margin(eps):
-        _, u = ldp_sup(ch, eps)
-        return _margin(ch, eps, u), u
-
-    if margin(cap)[0] > MARGIN_TOL:
+    if not certify(ch, cap).verdict:
         raise DivergedError(
             f"channel is not eps-LDP for any eps <= {cap}; effectively non-private"
         )
-    m, u = margin(0.0)
-    if m <= MARGIN_TOL:
-        return 0.0
-    lo, hi = 0.0, cap
-    while hi - lo > 2.0 * TIGHT_EPS_TOL:
-        slope, intercept = _slope_intercept(ch, u)
-        x = 0.5 * (lo + hi)
-        if slope < 0.0 < intercept:
-            newton = math.log(-intercept / slope) - 0.5 * TIGHT_EPS_TOL
-            if newton < hi:
-                x = newton
-        x = min(max(x, lo + TIGHT_EPS_TOL), hi - TIGHT_EPS_TOL)
-        m, u_x = margin(x)
-        if m > 0.0:
-            lo, u = x, u_x
-        else:
+    lo, hi, x, stepped = 0.0, cap, 0.0, True
+    while True:
+        cert = certify(ch, x)
+        if cert.verdict and stepped:  # 0.0, or the first certified step
+            return x
+        if cert.verdict:
             hi = x
-    x = lo + TIGHT_EPS_TOL
-    if x < hi:
-        if margin(x)[0] > 0.0:
-            lo = x
         else:
-            hi = x
-    return 0.5 * (lo + hi)
+            lo, u = x, cert.witness_u
+            a = float(np.linalg.norm(ch.A.T @ u))
+            den = 1.0 - a + float(ch.c @ u)
+            step = math.log1p(2.0 * a / den) if den > 0.0 else math.inf
+        if hi - lo <= TIGHT_EPS_TOL:
+            return hi
+        stepped = lo < step < hi
+        x = step if stepped else 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -221,10 +191,8 @@ def audit_by_sampling(ch, eps, n, seed, extra_pairs=None):
     any state, and they are evaluated ahead of the sampled pairs.
     """
     check_channel_budget(eps)
-    if not 1 <= n <= MAX_AUDIT_PAIRS:
-        raise InvalidInputError(
-            f"the audit needs n >= 1 pairs and at most {MAX_AUDIT_PAIRS}, "
-            f"got {n}")
+    check_count("n", n, 1, MAX_AUDIT_PAIRS)
+    check_count("seed", seed)
     extra = [_state_pair(pair, ch.d) for pair in extra_pairs or ()]
     rng = np.random.default_rng(seed)
     gamma = float(np.exp(eps))

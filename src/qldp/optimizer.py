@@ -32,19 +32,34 @@ products are t^2 times those of the unscaled columns, and the QFI is
 checked `qfi.qfi_qubit` calls it too).
 
 c = 0 is solved. The feasible set sigma_1(A) <= kappa, with
-kappa = (e^eps - 1) / (e^eps + 1), is the convex hull of kappa O(3). The QFI
-is convex in A: it is the maximum over measurements of classical Fisher
-informations (Braunstein and Caves, PRL 72, 3439, 1994), each jointly
-convex in (p, dp), and the output is affine in A. It is also invariant
-under A -> Q A for orthogonal Q. So its maximum sits at an extreme point
-kappa Q, whose QFI is that of kappa I: the depolarizing channel.
+kappa = expm1(eps) / (expm1(eps) + 2), is the convex hull of kappa O(3).
+The QFI is convex in A: it is the maximum over measurements of classical
+Fisher informations (Braunstein and Caves, PRL 72, 3439, 1994), each
+jointly convex in (p, dp), and the output is affine in A. It is also
+invariant under A -> Q A for orthogonal Q. So its maximum sits at an
+extreme point kappa Q, whose QFI is that of kappa I: the depolarizing
+channel.
 
-With c free the search is evidence, not proof: the best feasible channel
-found by multi-start coordinate pattern search, with the depolarizing
-channel among the starts. The winner is projected with the exact
-supremum and checked for complete positivity; if it passes and beats the
-depolarizing channel by more than rounding it is certified, once. The
-depolarizing channel is reported instead if any check fails.
+c free is solved too: among all eps-LDP affine qubit maps, with any c,
+the largest output QFI is QFI(kappa w, kappa dw), which the depolarizing
+channel attains. The output QFI is the maximum over unit n of the Fisher
+information of the projective measurement along n. Pulled back through
+the channel, that measurement's effect is ((1 + b) I + a.sigma) / 2, with
+a = A^T n and b = c^T n, and eps-LDP bounds its outcome ratios exactly
+when |a| <= kappa (1 - |b|): (a, b) lies in a double cone K. The Fisher
+information F(a, b) = (a.dw)^2 / (1 - (b + a.w)^2) is jointly convex in
+(p, dp), which are affine in (a, b), so its maximum over K sits at an
+apex (a = 0, F = 0) or on the rim b = 0, |a| = kappa, where its maximum
+over directions is QFI(kappa w, kappa dw).
+`tests/test_optimizer.py::test_no_ldp_measurement_beats_the_depolarizing_qfi`
+is its randomized check, at 20,000 points of K per family and budget.
+
+The multi-start coordinate pattern search over (A, c), with the
+depolarizing channel among the starts, still runs with c free. Its winner
+is projected with the exact supremum and checked for complete positivity;
+if it passes and beats the depolarizing channel by more than rounding it
+is certified, once. The depolarizing channel is reported instead if any
+check fails; by the theorem no winner leads it by more than rounding.
 """
 
 from dataclasses import dataclass
@@ -55,9 +70,9 @@ import numpy as np
 from . import bounds, channels, ldp, qfi as qfi_mod
 from .exceptions import (
     InvalidBudgetError,
-    InvalidInputError,
     UnsupportedDimensionError,
     check_budget,
+    check_count,
 )
 from .sphere import max_norm_on_sphere
 
@@ -231,8 +246,9 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
     check_budget(eps)
     if eps <= 0:
         raise InvalidBudgetError(f"eps must be > 0, got {eps}")
-    if starts > MAX_STARTS:
-        raise InvalidInputError(f"at most {MAX_STARTS} starts, got {starts}")
+    check_count("starts", starts, 0, MAX_STARTS)
+    check_count("seed", seed)
+    check_count("max_evals", max_evals)
     cap = bounds.fisher_cap(fam, lam, eps, c_zero)  # dw = 0 raises, unsearched
     w, dw = fam.point(lam)
     dep_ch = channels.depolarizing(2, eps)

@@ -67,14 +67,13 @@ def family_derivative(fam, lam, h=1e-5):
 def qubit_qfi_kernel(ww, dd, wd):
     """The qubit QFI from the inner products ww = ||w||^2, dd = ||dw||^2
     and wd = <w, dw>, unchecked: (value, branch), with value
-    dd + wd^2 / (1 - ||w||^2) in the interior and dd on the pure boundary
-    ||w|| >= 1 - BOUNDARY_TOL. The one place the formula is written:
-    `qfi_qubit` checks its vectors and calls it, and the channel search
-    calls it on every candidate."""
-    r = math.sqrt(ww)
-    if r >= 1.0 - BOUNDARY_TOL:
+    dd + wd^2 / (1 - ww) in the interior and dd on the pure boundary
+    ||w|| >= 1 - BOUNDARY_TOL, tested on ww. The one place the formula is
+    written: `qfi_qubit` checks its vectors and calls it, and the channel
+    search calls it on every candidate."""
+    if ww >= (1.0 - BOUNDARY_TOL) ** 2:
         return dd, "boundary"
-    return dd + wd * wd / (1.0 - r * r), "interior"
+    return dd + wd * wd / (1.0 - ww), "interior"
 
 
 def qfi_qubit(w, dw):

@@ -21,6 +21,23 @@ def random_mixed_bloch_vector(d, rng):
     return p @ bloch.random_bloch_vector(d, rng, size=d)
 
 
+def stratified_channels(n, seed):
+    """Qubit channels with c != 0 as the request benchmark writes them: top
+    singular value of A in [0.3, 0.8], the second one a ratio spread over
+    [0.05, 0.95] times it, and ||A|| + ||c|| <= 0.9."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for ratio in 0.05 + 0.9 * (np.arange(n) + 0.5) / n:
+        top = rng.uniform(0.3, 0.8)
+        sv = np.array([top, ratio * top, rng.uniform(0.0, ratio * top)])
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        c = rng.standard_normal(3)
+        c *= rng.uniform(0.02, 0.9 - top) / np.linalg.norm(c)
+        out.append(AffineChannel(2, U @ np.diag(sv) @ V.T, c))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import stratified_channels
 from qldp import channels
 from qldp.cli import main
 
@@ -66,6 +67,19 @@ def test_tighteps(capsys, tmp_path):
     code, out = run_cli(capsys, "tighteps", "--channel", str(path))
     assert code == 0
     assert abs(json.loads(out)["result"]["tight_eps"] - 1.0) < 1e-6
+
+
+def test_certify_accepts_the_budget_tighteps_prints(capsys, tmp_path):
+    path = tmp_path / "chan.json"
+    for ch in stratified_channels(40, seed=601):
+        ch.save(str(path))
+        code, out = run_cli(capsys, "tighteps", "--channel", str(path))
+        assert code == 0
+        t = json.loads(out)["result"]["tight_eps"]
+        code, out = run_cli(capsys, "certify", "--channel", str(path),
+                            "--eps", repr(t))
+        assert code == 0
+        assert json.loads(out)["result"]["verdict"] is True, t
 
 
 def test_tighteps_non_private_channel_is_out_of_regime(capsys, tmp_path):

@@ -1,3 +1,8 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -115,6 +120,44 @@ def test_simulate_takes_only_integral_counts():
             simulate(fam, 0.6, ch, n_copies, trials, seed=0)
     res = simulate(fam, 0.6, ch, np.int64(10), np.int64(5), seed=0)
     assert (res.n_copies, res.n_trials) == (10, 5)
+
+
+# A generic path inside the d = 16 state body, so the SLD scores are generic;
+# the axis families give few distinct scores, whose sums rarely round apart.
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from qldp.channels import depolarizing
+from qldp.estimation import _privatized_operating_point, _score_sums
+from qldp.estimation import simulate, sld_measurement
+from qldp.qfi import StateFamily
+Q = np.linalg.qr(np.random.default_rng(16).standard_normal((255, 2)))[0]
+V = 0.05 * Q.T
+fam = StateFamily(16, lambda t: np.cos(t) * V[0] + np.sin(t) * V[1],
+                  lambda t: np.cos(t) * V[1] - np.sin(t) * V[0])
+ch = depolarizing(16, 1.0)
+meas = sld_measurement(*_privatized_operating_point(fam, 0.3, ch))
+for trials in (60_000, 52_460):
+    sums = _score_sums(np.random.default_rng(0), meas, 1000, trials)
+    print(hashlib.sha256(sums.tobytes()).hexdigest())
+    print(simulate(fam, 0.3, ch, 1000, trials, 0).to_dict())
+"""
+
+
+def test_simulate_does_not_depend_on_the_blas_thread_count():
+    # one (52460, 16) @ (16,) product over all trials differs in its last
+    # bits between one and two OpenBLAS threads
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_estimator_saturates_crb():

@@ -11,8 +11,10 @@ import qldp
 from qldp.bounds import fisher_cap, fisher_cap_thm1, fisher_cap_thm2
 from qldp.channels import AffineChannel, depolarizing
 from qldp.divergence import hockey_stick, hockey_stick_qubit
-from qldp.estimation import sld_measurement
+from qldp.estimation import simulate, sld_measurement
 from qldp.exceptions import InvalidBudgetError, InvalidInputError, NotAStateError
+from qldp.ldp import audit_by_sampling
+from qldp.optimizer import maximize_qfi
 from qldp.qfi import qfi_qubit, qfi_sld_oracle, radial_family
 
 NEGATIVE = np.diag([1.5, -0.5])  # Hermitian, trace 1, eigenvalue -0.5
@@ -69,6 +71,32 @@ REPRODUCERS = {
                      InvalidBudgetError),
     "cap-thm2-nan": (lambda: fisher_cap_thm2(radial_family(), 0.6, np.nan),
                      InvalidBudgetError),
+    "audit-negative-seed": (
+        lambda: audit_by_sampling(depolarizing(2, 1.0), 1.0, 10, -1),
+        InvalidInputError),
+    "audit-fractional-seed": (
+        lambda: audit_by_sampling(depolarizing(2, 1.0), 1.0, 10, 1.5),
+        InvalidInputError),
+    "audit-fractional-n": (
+        lambda: audit_by_sampling(depolarizing(2, 1.0), 1.0, 2.5, 0),
+        InvalidInputError),
+    "simulate-negative-seed": (
+        lambda: simulate(radial_family(), 0.6, depolarizing(2, 1.0), 10, 10,
+                         -1),
+        InvalidInputError),
+    "search-negative-seed": (
+        lambda: maximize_qfi(radial_family(), 0.6, 0.5, starts=2, seed=-1),
+        InvalidInputError),
+    "search-negative-starts": (
+        lambda: maximize_qfi(radial_family(), 0.6, 0.5, starts=-1),
+        InvalidInputError),
+    "search-fractional-starts": (
+        lambda: maximize_qfi(radial_family(), 0.6, 0.5, starts=2.5),
+        InvalidInputError),
+    "search-negative-max-evals": (
+        lambda: maximize_qfi(radial_family(), 0.6, 0.5, starts=2,
+                             max_evals=-1),
+        InvalidInputError),
 }
 
 
@@ -77,6 +105,12 @@ def test_invalid_input_raises_its_error(case):
     call, error = REPRODUCERS[case]
     with pytest.raises(error):
         call()
+
+
+def test_zero_starts_and_evaluations_stay_valid():
+    for kwargs in ({"starts": 0}, {"starts": 2, "max_evals": 0}):
+        res = maximize_qfi(radial_family(), 0.6, 0.5, **kwargs)
+        assert res.best_qfi > 0.0
 
 
 # Arguments for every budgeted entry point, keyed by parameter name: a new

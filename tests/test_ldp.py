@@ -3,7 +3,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import random_qubit_channel
+from conftest import random_qubit_channel, stratified_channels
 from qldp import channels, ldp
 from qldp.bounds import bounds_cor1, bounds_thm1, bounds_thm2, qudit_upper_bound
 from qldp.channels import AffineChannel, depolarizing
@@ -18,7 +18,6 @@ from qldp.exceptions import (
 )
 from qldp.qfi import family_by_name, radial_family
 from qldp.ldp import (
-    MARGIN_TOL,
     TIGHT_EPS_TOL,
     audit_by_sampling,
     certify,
@@ -249,48 +248,28 @@ def test_tight_epsilon_closed_form_for_c_zero(rng):
 
 
 def _bisection_tight_epsilon(ch):
-    """The reference: bisection of [0, MAX_CHANNEL_BUDGET] on the margin
-    test down to a bracket of TIGHT_EPS_TOL, 32 `ldp_sup` solves."""
-    def margin(eps):
-        _, u = ldp_sup(ch, eps)
-        return ldp._margin(ch, eps, u)
-
-    assert margin(MAX_CHANNEL_BUDGET) <= MARGIN_TOL < margin(0.0)
+    """The reference: bisection of [0, MAX_CHANNEL_BUDGET] on the sign of
+    `certify`'s margin down to a bracket of TIGHT_EPS_TOL, 32 solves."""
+    assert certify(ch, MAX_CHANNEL_BUDGET).verdict
+    assert not certify(ch, 0.0).verdict
     lo, hi = 0.0, MAX_CHANNEL_BUDGET
     while hi - lo > TIGHT_EPS_TOL:
         mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
+        if certify(ch, mid).margin > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _stratified_channels(n, seed):
-    """Qubit channels with c != 0 as the request benchmark writes them: top
-    singular value of A in [0.3, 0.8], the second one a ratio spread over
-    [0.05, 0.95] times it, and ||A|| + ||c|| <= 0.9."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for ratio in 0.05 + 0.9 * (np.arange(n) + 0.5) / n:
-        top = rng.uniform(0.3, 0.8)
-        sv = np.array([top, ratio * top, rng.uniform(0.0, ratio * top)])
-        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        c = rng.standard_normal(3)
-        c *= rng.uniform(0.02, 0.9 - top) / np.linalg.norm(c)
-        out.append(AffineChannel(2, U @ np.diag(sv) @ V.T, c))
-    return out
-
-
 @pytest.fixture(scope="module")
 def stratified():
-    chs = _stratified_channels(40, seed=601)
+    chs = stratified_channels(40, seed=601)
     return [(ch, _bisection_tight_epsilon(ch)) for ch in chs]
 
 
-def test_tight_epsilon_matches_bisection_in_few_solves(stratified,
-                                                      monkeypatch):
+def _count_solves(monkeypatch):
+    """Record the budget of every `ldp_sup` solve in the returned list."""
     calls = []
     real = ldp.ldp_sup
 
@@ -299,68 +278,85 @@ def test_tight_epsilon_matches_bisection_in_few_solves(stratified,
         return real(ch, eps)
 
     monkeypatch.setattr(ldp, "ldp_sup", counting)
+    return calls
+
+
+def test_tight_epsilon_matches_bisection_in_few_solves(stratified,
+                                                      monkeypatch):
+    calls = _count_solves(monkeypatch)
     counts = []
     for ch, ref in stratified:
         calls.clear()
         t = tight_epsilon(ch)
         counts.append(len(calls))
         assert abs(t - ref) < 1e-7
-        assert certify(ch, t + TIGHT_EPS_TOL).verdict
+        assert certify(ch, t).verdict
     assert statistics.median(counts) <= 8
     assert max(counts) <= 12
 
 
-def test_tight_epsilon_survives_a_poor_direction(stratified, monkeypatch):
-    # a poor direction's affine bound still lies below the margin: its
-    # Newton step falls short of the crossing and the bracket holds
-    real = ldp.ldp_sup
-    for ch, ref in stratified[::5]:
-        poor = []
-
-        def once_poor(ch, eps):
-            value, u = real(ch, eps)
-            if eps == 0.0 and not poor:
-                u = np.linalg.svd(ch.A)[0][:, 2]  # the weakest direction
-                poor.append(u)
-            return value, u
-
-        monkeypatch.setattr(ldp, "ldp_sup", once_poor)
-        assert abs(tight_epsilon(ch) - ref) < 1e-7
-        assert poor
-
-
-def test_tight_epsilon_bisects_below_an_understated_hi(stratified,
-                                                       monkeypatch):
-    # a poor direction at the second Newton point, below the crossing,
-    # fails the margin test there: that point becomes hi, the Newton point
-    # of lo's direction is hi itself, and the loop must bisect [lo, hi]
-    real = ldp.ldp_sup
-    for ch, _ in stratified[::5]:
-        tests = []
-
-        def poor_at_fourth(ch, eps):
-            value, u = real(ch, eps)
-            if len(tests) == 3:
-                u = np.linalg.svd(ch.A)[0][:, 2]  # the weakest direction
-            tests.append((eps, ldp._margin(ch, eps, u)))
-            return value, u
-
-        monkeypatch.setattr(ldp, "ldp_sup", poor_at_fourth)
+def test_certify_accepts_tight_epsilon_on_400_channels(monkeypatch):
+    # the affine-bound margin test and the bracket midpoint it replaced
+    # returned budgets that certify refused, by up to 7.2e-9 of margin
+    calls = _count_solves(monkeypatch)
+    counts = []
+    for ch in stratified_channels(400, seed=7):
+        calls.clear()
         t = tight_epsilon(ch)
-        poor_eps, poor_margin = tests[3]
-        assert poor_margin <= 0.0
-        # replay the bracket from the tests after the two end checks
-        lo, hi, midpoints = 0.0, MAX_CHANNEL_BUDGET, 0
-        for eps, m in tests[2:]:
-            midpoints += eps == 0.5 * (lo + hi)
-            if m > 0.0:
-                lo = eps
-            else:
-                hi = eps
-        assert midpoints > 0
-        assert hi - lo <= TIGHT_EPS_TOL and t == 0.5 * (lo + hi)
-        assert poor_eps - TIGHT_EPS_TOL <= t <= poor_eps
-        assert len(tests) <= 32 + 2  # the bisection's solves, two end tests
+        counts.append(len(calls))
+        cert = certify(ch, t)
+        assert cert.verdict, (t, cert.margin)
+    assert statistics.median(counts) <= 8
+    assert max(counts) <= 12
+
+
+def _poor_direction_at(k, monkeypatch):
+    """Make the k-th `ldp_sup` solve (from 0) return the weakest left
+    singular vector of A as its direction, its value left exact; returns
+    the list of solved budgets."""
+    calls = []
+    real = ldp.ldp_sup
+
+    def poor(ch, eps):
+        value, u = real(ch, eps)
+        if len(calls) == k:
+            u = np.linalg.svd(ch.A)[0][:, 2]
+        calls.append(eps)
+        return value, u
+
+    monkeypatch.setattr(ldp, "ldp_sup", poor)
+    return calls
+
+
+def test_tight_epsilon_survives_a_poor_direction(stratified, monkeypatch):
+    # at the test of 0 (after the one at the ceiling) a poor direction
+    # still needs no more than the answer: its step falls short, or makes
+    # no progress, and the next refused budget's direction steps on
+    for ch, ref in stratified[::5]:
+        calls = _poor_direction_at(1, monkeypatch)
+        t = tight_epsilon(ch)
+        assert calls[1] == 0.0
+        assert abs(t - ref) < 1e-7
+        assert certify(ch, t).verdict
+
+
+def test_tight_epsilon_falls_back_to_midpoints(stratified, monkeypatch):
+    # a poor direction at the fourth test, refused, needs less than the
+    # refused budget: the step makes no progress, the bracket takes
+    # midpoints, and a certified budget comes within the bisection's 32
+    # solves and the two end tests
+    fallbacks = 0
+    for ch, ref in stratified[::5]:
+        calls = _poor_direction_at(3, monkeypatch)
+        t = tight_epsilon(ch)
+        assert len(calls) <= 32 + 2
+        assert abs(t - ref) <= 2.0 * TIGHT_EPS_TOL
+        assert certify(ch, t).verdict
+        if not certify(ch, calls[3]).verdict:
+            # the fifth test is the midpoint of [fourth test, ceiling]
+            assert calls[4] == 0.5 * (calls[3] + MAX_CHANNEL_BUDGET)
+            fallbacks += 1
+    assert fallbacks >= 4
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1e3])

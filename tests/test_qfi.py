@@ -1,3 +1,4 @@
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from qldp.qfi import (
     qfi_qubit,
     qfi_qudit,
     qfi_sld_oracle,
+    qubit_qfi_kernel,
     radial_family,
     rotation_family,
     scaled_rotation_family,
@@ -241,6 +243,21 @@ def test_interior_values_diverge_toward_pure_boundary():
     on_boundary = qfi_qubit(np.array([0.0, 0.0, 1.0]), dw)
     assert on_boundary.branch == "boundary"
     assert abs(on_boundary.value - 1.0) < 1e-12
+
+
+def test_qubit_kernel_is_exact_near_the_pure_boundary():
+    # 1 - ||w|| from 1e-9 to 1e-6: forming 1 - r r from r = sqrt(ww) instead
+    # of 1 - ww put the value 1.3e-8 relative off at 1 - ww ~ 9e-9
+    rng = np.random.default_rng(44)
+    for gap in np.geomspace(1.1e-9, 1e-6, 60):
+        u = rng.standard_normal(3)
+        w = (1.0 - gap) * u / np.linalg.norm(u)
+        dw = rng.standard_normal(3)
+        ww, dd, wd = float(w @ w), float(dw @ dw), float(w @ dw)
+        value, branch = qubit_qfi_kernel(ww, dd, wd)
+        assert branch == "interior"
+        exact = Fraction(dd) + Fraction(wd) ** 2 / (1 - Fraction(ww))
+        assert abs(Fraction(value) - exact) <= Fraction(1e-14) * exact, gap
 
 
 def test_depolarizing_monotonicity_and_floor(rng):
