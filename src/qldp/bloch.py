@@ -18,13 +18,8 @@ POSITIVITY_TOL = -1e-10
 # for matrices that are not states: derivatives and `divergence.trace_norm`
 LOOSE_HERMITICITY_TOL = 1e-10
 DERIVATIVE_TRACE_TOL = 1e-8
-BALL_TOL = 1e-12
 # ldp.MAX_AUDIT_PAIRS and estimation.MAX_TRIALS are sized at this dimension
 MAX_DIM = 16
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def max_radius(d):
@@ -148,8 +143,11 @@ def check_derivative(drho, d):
 
 
 def in_qubit_ball(r):
-    """The qubit Bloch-ball rule on norms r: r <= 1 + BALL_TOL, False on NaN."""
-    return r <= 1.0 + BALL_TOL
+    """The qubit state rule on a Bloch-vector norm r (or an array of them):
+    the lowest eigenvalue (1 - r)/2 of (I + w.sigma)/2 is >= POSITIVITY_TOL,
+    the bound `check_positive` puts on the eigenvalues of every state, so
+    ||w|| <= 1 + 2e-10. False on NaN."""
+    return 0.5 * (1.0 - r) >= POSITIVITY_TOL
 
 
 def random_bloch_vector(d, rng, size=None):

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 mathematically out of regime (e.g. the small-budget
-bounds with eps >= 1), 3 malformed input. Every JSON artifact embeds the
-run configuration and the schema tag "qldp/1" and is strict JSON: floats are
-written as their shortest round-trip repr, undefined values as null, and
-NaN or infinity never. CSV floats are written with 17 significant digits
-and undefined values as empty fields; both round-trip bit-exactly.
+bounds with eps >= 1) or an argparse usage error (a missing option, both
+options of an either-or pair), 3 malformed input. Every JSON artifact
+embeds the run configuration and the schema tag "qldp/1" and is strict
+JSON: floats are written as their shortest round-trip repr, undefined
+values as null, and NaN or infinity never. CSV floats are written with 17
+significant digits and undefined values as empty fields; both round-trip
+bit-exactly.
 """
 
 import argparse
@@ -101,12 +103,14 @@ def _get_family(args):
 
 
 def _get_channel(args):
-    if getattr(args, "channel", None):
+    if args.channel:
         return channels.AffineChannel.load(args.channel)
-    if getattr(args, "depolarizing", False):
-        d = getattr(args, "dim", None)
-        return channels.depolarizing(d if d is not None else 2, args.eps)
-    raise QldpError("provide --channel <path> or --depolarizing")
+    if not args.depolarizing:
+        raise QldpError("provide --channel <path> or --depolarizing")
+    if args.eps is None:
+        raise InvalidInputError("--depolarizing needs --eps")
+    return channels.depolarizing(args.dim if args.dim is not None else 2,
+                                 args.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +277,11 @@ def cmd_report(args):
 
 
 def build_parser():
+    """The qldp parser and its subcommand parsers by name.
+
+    Each option that several subcommands take is declared once, in a
+    parent parser. The parents are built on every call: a child shares its
+    parent's action objects, and `_apply_config_file` changes them."""
     # no abbreviated --config: `main` spots the option by its full name
     parser = argparse.ArgumentParser(
         prog="qldp", allow_abbrev=False,
@@ -281,112 +290,94 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file; flags take precedence")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("qfi", help="quantum Fisher information of a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_qfi)
+    family, lam, dim, seed, out, source = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    family.add_argument("--family", required=True)
+    lam.add_argument("--lambda", dest="lam", type=float, required=True)
+    dim.add_argument("--dim", type=int)
+    seed.add_argument("--seed", type=int, default=0)
+    out.add_argument("--out", help="output path (default: stdout)")
+    either = source.add_mutually_exclusive_group()
+    either.add_argument("--channel")
+    either.add_argument("--depolarizing", action="store_true")
 
-    p = sub.add_parser("certify", help="exact qubit LDP certificate")
-    p.add_argument("--channel")
-    p.add_argument("--depolarizing", action="store_true")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    command("qfi", cmd_qfi, "quantum Fisher information of a family",
+            family, lam, dim, out)
+
+    p = command("certify", cmd_certify, "exact qubit LDP certificate",
+                source, dim, out)
     p.add_argument("--eps", type=float)
     p.add_argument("--at-eps", dest="at_eps", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("tighteps", help="smallest certifying budget")
+    p = command("tighteps", cmd_tighteps, "smallest certifying budget", out)
     p.add_argument("--channel", required=True)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_tighteps)
 
-    p = sub.add_parser("audit", help="hockey-stick sampling audit")
-    p.add_argument("--channel")
-    p.add_argument("--depolarizing", action="store_true")
+    p = command("audit", cmd_audit, "hockey-stick sampling audit",
+                source, dim, seed, out)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("divergence", help="hockey-stick divergence of two states")
+    p = command("divergence", cmd_divergence,
+                "hockey-stick divergence of two states")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
-    p.set_defaults(func=cmd_divergence)
 
-    p = sub.add_parser("bounds", help="sample-complexity bounds")
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = command("bounds", cmd_bounds, "sample-complexity bounds",
+                family, lam, dim, out)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--bias", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--corollary1", action="store_true")
-    p.add_argument("--thm2", action="store_true")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_bounds)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--corollary1", action="store_true")
+    which.add_argument("--thm2", action="store_true")
 
-    p = sub.add_parser("scaling", help="bounds over a budget grid (CSV)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = command("scaling", cmd_scaling, "bounds over a budget grid (CSV)",
+                family, lam, out)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps-grid", dest="eps_grid", required=True)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("simulate", help="Monte Carlo CRB validation")
-    p.add_argument("--family", required=True)
+    p = command("simulate", cmd_simulate, "Monte Carlo CRB validation",
+                family, seed, out)
     p.add_argument("--lambda0", dest="lam0", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--channel")
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--out-format", choices=["json", "csv"], default="json",
                    dest="out_format")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("optimize", help="search for the highest-QFI channel")
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = command("optimize", cmd_optimize, "search for the highest-QFI channel",
+                family, lam, seed, out)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--starts", type=int, default=32)
     p.add_argument("--c-zero", dest="c_zero", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("optimize-sweep", help="channel search over a budget grid")
-    p.add_argument("--family", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = command("optimize-sweep", cmd_optimize_sweep,
+                "channel search over a budget grid", family, lam, seed, out)
     p.add_argument("--eps-grid", dest="eps_grid", required=True)
     p.add_argument("--starts", type=int, default=32)
     p.add_argument("--c-zero", dest="c_zero", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_optimize_sweep)
 
-    p = sub.add_parser("report", help="one-shot reproduction bundle")
-    p.add_argument("--family", required=True)
+    p = command("report", cmd_report, "one-shot reproduction bundle",
+                family, seed)
     p.add_argument("--lambda", dest="lam", type=float, default=0.6)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--eps-grid", dest="eps_grid", default="0.01:0.5:20")
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(subparsers, argv):
     """Make the --config file's values the defaults of the chosen
     subcommand, before the parse, so that the file can also supply a
     required option; flags on the command line still win."""
@@ -394,13 +385,11 @@ def _apply_config_file(parser, argv):
                                   exit_on_error=False)
     pre.add_argument("--config")
     pre.add_argument("subcommand", nargs="?")
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
     try:
         known, _ = pre.parse_known_args(argv)
     except argparse.ArgumentError:
         return  # the parse reports the bad command line
-    subparser = sub.choices.get(known.subcommand)
+    subparser = subparsers.get(known.subcommand)
     if not known.config or subparser is None:
         return  # an empty --config= is ignored, as without the option
     with open(known.config) as fh:
@@ -448,10 +437,10 @@ def _check_options(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
         if any(a == "--config" or a.startswith("--config=") for a in argv):
-            _apply_config_file(parser, argv)
+            _apply_config_file(subparsers, argv)
         args = parser.parse_args(argv)
         _check_options(args)
         return args.func(args)

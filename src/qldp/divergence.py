@@ -42,8 +42,9 @@ def hockey_stick_unchecked(rho, sigma, gamma):
 
 def hockey_stick_qubit(w, v, gamma):
     """Closed-form qubit divergence from Bloch vectors (batched over rows
-    of length 3, the two batches broadcast), each `bloch.in_qubit_ball`:
-    max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
+    of length 3, the two batches broadcast), each a state by
+    `bloch.in_qubit_ball`, the rule `hockey_stick` applies to density
+    matrices too: max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
     if not 1.0 <= gamma < math.inf:
         raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
     w = np.asarray(w, dtype=float)

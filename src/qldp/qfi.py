@@ -9,6 +9,7 @@ Two routes are provided and cross-checked in the tests:
 
 from dataclasses import dataclass
 import math
+import re
 
 import numpy as np
 
@@ -78,8 +79,9 @@ def qubit_qfi_kernel(ww, dd, wd):
 
 def qfi_qubit(w, dw):
     """Qubit QFI of a Bloch vector w and its derivative dw, each of length
-    3, by `qubit_qfi_kernel`. w must pass `bloch.in_qubit_ball` and dw must
-    be finite; InvalidInputError otherwise."""
+    3, by `qubit_qfi_kernel`. w must be a state by `bloch.in_qubit_ball`,
+    the rule `to_density` applies too, and dw must be finite;
+    InvalidInputError otherwise."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     if w.shape != (3,) or dw.shape != (3,):
@@ -89,7 +91,8 @@ def qfi_qubit(w, dw):
     ww, dd = float(w @ w), float(dw @ dw)
     r = math.sqrt(ww)
     if not (bloch.in_qubit_ball(r) and dd < math.inf):  # False on NaN
-        raise InvalidInputError(f"need ||w|| <= 1 and finite dw, got {r}, {dd}")
+        raise InvalidInputError(f"need a qubit state w and finite dw, got "
+                                f"||w|| = {r}, ||dw||^2 = {dd}")
     return QfiResult(*qubit_qfi_kernel(ww, dd, float(w @ dw)))
 
 
@@ -226,7 +229,8 @@ def _is_csv(path):
 def family_by_name(name, d=2):
     """Look up a built-in family by name: the qubit families radial,
     rotation and scaled-rotation (InvalidDimensionError for d != 2), or
-    axis-<k> (1-based) at dimension d. Table families are built with
+    axis-<k> at dimension d, k a 1-based index of 1 to 4 decimal digits;
+    InvalidInputError for any other name. Table families are built with
     `table_family(path)`."""
     qubit = {"radial": radial_family, "rotation": rotation_family,
              "scaled-rotation": scaled_rotation_family}
@@ -235,6 +239,9 @@ def family_by_name(name, d=2):
             raise InvalidDimensionError(
                 f"family {name!r} is a qubit family, got d={d!r}")
         return qubit[name]()
-    if name.startswith("axis-"):
-        return axis_family(d, int(name.split("-", 1)[1]) - 1)
+    # 4 digits hold every index to MAX_DIM^2 - 1 = 255; int() refuses
+    # strings past 4300 digits
+    axis = re.fullmatch(r"axis-([0-9]{1,4})", name)
+    if axis:
+        return axis_family(d, int(axis[1]) - 1)
     raise InvalidInputError(f"unknown family {name!r}")

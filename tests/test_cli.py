@@ -405,6 +405,10 @@ def test_config_file_supplies_a_required_option(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "qfi"])
     assert exc.value.code == 2
+    # and the file's values last for its own run only
+    with pytest.raises(SystemExit) as exc:
+        main(["qfi", "--lambda", "0.6"])
+    assert exc.value.code == 2
 
 
 def test_report_bundle(capsys, tmp_path):
@@ -441,6 +445,42 @@ def test_report_rerun_byte_identical(capsys, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def exit_code(argv):
+    """main's exit code, argparse's usage errors (SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# regression rows: a malformed axis name and --depolarizing without --eps
+# raised (exit 1), both options of an either-or pair ran with one ignored
+# (exit 0), and qfi refused a radial lambda that bounds and optimize took
+# (exit 3)
+QFI = ["qfi", "--lambda", "0.1", "--family"]
+EXIT_CODES = [
+    (QFI + ["axis-x"], 3),
+    (QFI + ["axis-"], 3),
+    (QFI + ["axis-1.5"], 3),
+    (["certify", "--depolarizing", "--at-eps", "0.5"], 3),
+    (["certify", "--channel={channel}", "--depolarizing", "--eps", "1"], 2),
+    (["audit", "--channel={channel}", "--depolarizing", "--eps", "1",
+      "--n", "5"], 2),
+    (["bounds", "--family", "radial", "--lambda", "0.6", "--alpha", "0.01",
+      "--eps", "0.3", "--corollary1", "--thm2"], 2),
+    (["qfi", "--family", "radial", "--lambda", "1.0000000001"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES,
+                         ids=[" ".join(argv) for argv, _ in EXIT_CODES])
+def test_exit_codes(argv, code, capsys, cli_files):
+    argv = [t.format(**cli_files) for t in argv]
+    assert exit_code(argv) == code, argv
+    out = capsys.readouterr().out
+    assert (out == "") == (code != 0), argv
+
+
 def test_extreme_budget_is_out_of_regime(capsys):
     # e^eps - 1 and eps^2 underflow at eps = 1e-300: no count is finite
     bounds = ["bounds", "--family", "radial", "--lambda", "0.6",
@@ -461,7 +501,8 @@ def test_extreme_budget_is_out_of_regime(capsys):
 
 # every float draw mixes plausible values with NaN, infinities, subnormals
 # and the extremes of double precision
-REALS = st.one_of(st.floats(0.01, 1.5), st.floats(-2.0, 2.0), st.floats())
+REALS = st.one_of(st.floats(0.01, 1.5), st.floats(-2.0, 2.0), st.floats(),
+                  st.just(1.0000000001))
 COUNTS = st.integers(-1, 3)
 
 
@@ -474,7 +515,8 @@ def _maybe(*options):
 
 
 FAMILY = _flag("family", st.sampled_from(
-    ["radial", "rotation", "scaled-rotation", "axis-1", "axis-3"]))
+    ["radial", "rotation", "scaled-rotation", "axis-1", "axis-3", "axis-x",
+     "axis-", "axis-1.5"]))
 DIM = _flag("dim", st.integers(-1, 4))
 LAMBDA, ALPHA, EPS = (_flag(name, REALS) for name in ("lambda", "alpha", "eps"))
 GRID = _flag("eps-grid", st.one_of(
@@ -483,18 +525,20 @@ GRID = _flag("eps-grid", st.one_of(
               st.integers(2, 3))))
 STARTS, SEED, N, TRIALS = (_flag(name, COUNTS)
                            for name in ("starts", "seed", "n", "trials"))
-SOURCE = st.sampled_from([["--channel={channel}"], ["--depolarizing"]])
+SOURCE = st.sampled_from([["--channel={channel}"], ["--depolarizing"],
+                          ["--channel={channel}", "--depolarizing"]])
 
 # subcommand -> option groups; files are {channel}, {rho}, {sigma}, {bundle}
 COMMANDS = {
     "qfi": [FAMILY, DIM, LAMBDA],
-    "certify": [SOURCE, EPS, _maybe(_flag("at-eps", REALS)), DIM],
+    "certify": [SOURCE, _maybe(EPS), _maybe(_flag("at-eps", REALS)), DIM],
     "tighteps": [st.just(["--channel={channel}"])],
     "audit": [SOURCE, EPS, N, DIM, SEED],
     "divergence": [_flag("gamma", REALS), st.just(["--rho={rho}",
                                                    "--sigma={sigma}"])],
     "bounds": [FAMILY, DIM, LAMBDA, ALPHA, EPS, _maybe(_flag("bias", REALS)),
-               _maybe(st.just(["--corollary1"]), st.just(["--thm2"]))],
+               _maybe(st.just(["--corollary1"]), st.just(["--thm2"]),
+                      st.just(["--corollary1", "--thm2"]))],
     "scaling": [FAMILY, LAMBDA, ALPHA, GRID],
     "simulate": [FAMILY, _flag("lambda0", REALS), EPS, ALPHA, TRIALS, SEED,
                  _maybe(N, st.just(["--channel={channel}", "--n=3"]))],
@@ -528,7 +572,7 @@ def test_every_subcommand_keeps_exit_and_output_contract(argv, cli_files):
         argv = [t.format(bundle=bundle, **cli_files) for t in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = exit_code(argv)
         out = out.getvalue()
         assert code in (0, 2, 3), (argv, err.getvalue())
         if code != 0:

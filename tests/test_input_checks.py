@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qldp
+from qldp.bloch import to_density
 from qldp.bounds import fisher_cap, fisher_cap_thm1, fisher_cap_thm2
 from qldp.channels import AffineChannel, depolarizing
 from qldp.divergence import hockey_stick, hockey_stick_qubit
@@ -15,7 +16,14 @@ from qldp.estimation import simulate, sld_measurement
 from qldp.exceptions import InvalidBudgetError, InvalidInputError, NotAStateError
 from qldp.ldp import audit_by_sampling
 from qldp.optimizer import maximize_qfi
-from qldp.qfi import qfi_qubit, qfi_sld_oracle, radial_family
+from qldp.qfi import (
+    StateFamily,
+    family_by_name,
+    qfi_family,
+    qfi_qubit,
+    qfi_sld_oracle,
+    radial_family,
+)
 
 NEGATIVE = np.diag([1.5, -0.5])  # Hermitian, trace 1, eigenvalue -0.5
 TRACE_2 = np.diag([0.9, 0.9])
@@ -58,6 +66,10 @@ REPRODUCERS = {
         lambda: AffineChannel.from_dict({"d": "2", "A": np.eye(3).tolist(),
                                          "c": [0.0, 0.0, 0.0]}),
         InvalidInputError),
+    "family-axis-letter": (lambda: family_by_name("axis-x"), InvalidInputError),
+    "family-axis-empty": (lambda: family_by_name("axis-"), InvalidInputError),
+    "family-axis-fraction": (lambda: family_by_name("axis-1.5"),
+                             InvalidInputError),
     "qfi-qubit-row-length": (
         lambda: qfi_qubit([0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0]),
         InvalidInputError),
@@ -105,6 +117,26 @@ def test_invalid_input_raises_its_error(case):
     call, error = REPRODUCERS[case]
     with pytest.raises(error):
         call()
+
+
+# ||w|| - 1 on either side of the qubit state rule, ||w|| <= 1 + 2e-10
+@pytest.mark.parametrize("excess", [-1e-13, 1e-13, 1e-11, 1.5e-10, 2.5e-10,
+                                    1e-9])
+def test_every_qubit_path_applies_one_state_rule(excess):
+    u, center = np.array([1.0, 2.0, 2.0]) / 3.0, np.zeros(3)
+    w = (1.0 + excess) * u
+    fam = StateFamily(d=2, omega_of=lambda lam: w, d_omega_of=lambda lam: u)
+    paths = [(lambda: to_density(w), NotAStateError),
+             (lambda: qfi_qubit(w, u), InvalidInputError),
+             (lambda: hockey_stick_qubit(w, center, 1.5), InvalidInputError),
+             (lambda: hockey_stick_qubit(center, w, 1.5), InvalidInputError),
+             (lambda: qfi_family(fam, 0.0), NotAStateError)]
+    for call, error in paths:
+        if excess <= 2e-10:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
 
 
 def test_zero_starts_and_evaluations_stay_valid():
