@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 mathematically out of regime (e.g. the small-budget
 bounds with eps >= 1) or an argparse usage error (a missing option, both
-options of an either-or pair), 3 malformed input. Every JSON artifact
-embeds the run configuration and the schema tag "qldp/1" and is strict
-JSON: floats are written as their shortest round-trip repr, undefined
-values as null, and NaN or infinity never. CSV floats are written with 17
-significant digits and undefined values as empty fields; both round-trip
-bit-exactly.
+options of an either-or pair), 3 malformed input. A command returns its
+artifact and `main` writes it, to --out or stdout; `report` writes its
+bundle only once every part is computed. So a non-zero exit writes
+nothing, to stdout or to any file. Every JSON artifact embeds the run
+configuration and the schema tag "qldp/1" and is strict JSON: floats are
+written as their shortest round-trip repr, undefined values as null, and
+NaN or infinity never. CSV floats are written with 17 significant digits
+and undefined values as empty fields; both round-trip bit-exactly.
 """
 
 import argparse
@@ -23,12 +25,7 @@ import numpy as np
 from . import bounds, channels, divergence, estimation, ldp
 from . import optimizer as opt_mod
 from . import qfi as qfi_mod
-from .exceptions import (
-    InvalidInputError,
-    OutOfRegimeError,
-    QldpError,
-    check_count,
-)
+from .exceptions import InvalidInputError, OutOfRegimeError, QldpError
 
 SCHEMA = "qldp/1"
 # a grid and its CSV rows take under 1 MB at the bound, at any dimension
@@ -40,18 +37,18 @@ def _json(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(args, payload):
-    _write(args.out, _json({"schema": SCHEMA, "config": _config_echo(args),
-                            "result": payload}))
+def _artifact(args, payload):
+    return _json({"schema": SCHEMA, "config": _config_echo(args),
+                  "result": payload})
 
 
-def _emit_csv(args, header, rows):
+def _csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    _write(args.out, buf.getvalue())
+    return buf.getvalue()
 
 
 def _write(path, text):
@@ -120,13 +117,12 @@ def _get_channel(args):
 def cmd_qfi(args):
     fam = _get_family(args)
     res = qfi_mod.qfi_family(fam, args.lam)
-    _emit(args, {
+    return _artifact(args, {
         "family": fam.label,
         "lambda": args.lam,
         "value": res.value,
         "branch": res.branch,
     })
-    return 0
 
 
 def cmd_certify(args):
@@ -134,30 +130,24 @@ def cmd_certify(args):
     budget = args.at_eps if args.at_eps is not None else args.eps
     if budget is None:
         raise QldpError("provide --eps or --at-eps for the certification budget")
-    cert = ldp.certify(ch, budget)
-    _emit(args, cert.to_dict())
-    return 0
+    return _artifact(args, ldp.certify(ch, budget).to_dict())
 
 
 def cmd_tighteps(args):
     ch = channels.AffineChannel.load(args.channel)
-    _emit(args, {"tight_eps": ldp.tight_epsilon(ch)})
-    return 0
+    return _artifact(args, {"tight_eps": ldp.tight_epsilon(ch)})
 
 
 def cmd_audit(args):
     ch = _get_channel(args)
     res = ldp.audit_by_sampling(ch, args.eps, args.n, args.seed)
-    _emit(args, res.to_dict())
-    return 0
+    return _artifact(args, res.to_dict())
 
 
 def cmd_divergence(args):
     rho = _load_density(args.rho)
     sigma = _load_density(args.sigma)
-    val = divergence.hockey_stick(rho, sigma, args.gamma)
-    sys.stdout.write(f"{val:.17g}\n")
-    return 0
+    return f"{divergence.hockey_stick(rho, sigma, args.gamma):.17g}\n"
 
 
 def cmd_bounds(args):
@@ -167,12 +157,10 @@ def cmd_bounds(args):
         which, calc = (("corollary1", bounds.bounds_cor1) if args.corollary1
                        else ("restricted-c0", bounds.bounds_thm2))
         lower, upper = calc(fam, args.lam, args.alpha, args.eps, bias=bias)
-        _emit(args, {"N_lower_real": lower, "N_upper_real": upper,
-                     "which": which})
-        return 0
+        return _artifact(args, {"N_lower_real": lower, "N_upper_real": upper,
+                                "which": which})
     report = bounds.bounds_thm1(fam, args.lam, args.alpha, args.eps, bias=bias)
-    _emit(args, report.to_dict())
-    return 0
+    return _artifact(args, report.to_dict())
 
 
 def cmd_scaling(args):
@@ -182,8 +170,7 @@ def cmd_scaling(args):
         rep = bounds.bounds_thm1(fam, args.lam, args.alpha, float(eps))
         rows.append([float(eps), rep.N_lower_real, rep.N_upper_real,
                      rep.fisher_cap])
-    _emit_csv(args, ["eps", "N_lower", "N_upper", "fisher_cap"], rows)
-    return 0
+    return _csv(["eps", "N_lower", "N_upper", "fisher_cap"], rows)
 
 
 def cmd_simulate(args):
@@ -199,20 +186,17 @@ def cmd_simulate(args):
         n_copies = bounds.bounds_thm1(fam, args.lam0, args.alpha, eps).N_upper
     stats = estimation.simulate(fam, args.lam0, ch, n_copies, args.trials,
                                 args.seed)
+    d = stats.to_dict()
     if args.out_format == "csv":
-        d = stats.to_dict()
-        _emit_csv(args, list(d.keys()), [list(d.values())])
-    else:
-        _emit(args, stats.to_dict())
-    return 0
+        return _csv(list(d.keys()), [list(d.values())])
+    return _artifact(args, d)
 
 
 def cmd_optimize(args):
     fam = _get_family(args)
     res = opt_mod.maximize_qfi(fam, args.lam, args.eps, starts=args.starts,
                                seed=args.seed, c_zero=args.c_zero)
-    _emit(args, res.to_dict())
-    return 0
+    return _artifact(args, res.to_dict())
 
 
 def cmd_optimize_sweep(args):
@@ -222,41 +206,33 @@ def cmd_optimize_sweep(args):
                             seed=args.seed, c_zero=args.c_zero)
     rows = [[r.eps, r.best_qfi, r.fisher_cap, r.cap_ratio,
              r.feasibility_margin] for r in results]
-    _emit_csv(args, ["eps", "best_qfi", "fisher_cap", "cap_ratio", "margin"],
-              rows)
-    return 0
+    return _csv(["eps", "best_qfi", "fisher_cap", "cap_ratio", "margin"], rows)
 
 
 def cmd_report(args):
+    """Compute every part of the bundle, then write it to --out-dir: a
+    refused request leaves no file. Nothing goes to stdout."""
     fam = _get_family(args)
     grid = _parse_grid(args.eps_grid)
-    # refuse the counts before any file of the bundle is written
-    check_count("trials", args.trials, 1, estimation.MAX_TRIALS)
-    check_count("starts", args.starts, 0, opt_mod.MAX_STARTS)
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
-
-    def to(name, **extra):
-        return argparse.Namespace(**vars(args), **extra,
-                                  out=os.path.join(outdir, name))
-
-    cmd_scaling(to("bounds.csv"))
-    cmd_optimize_sweep(to("optimizer.csv", c_zero=False))
-
+    bounds_csv = cmd_scaling(args)
+    # ahead of the sweep, the slowest part, to refuse a bad --trials sooner
+    mid_eps = float(grid[len(grid) // 2])
+    sim = estimation.validate_upper_bound(fam, args.lam, args.alpha, mid_eps,
+                                          args.trials, args.seed)
+    sweep = cmd_optimize_sweep(argparse.Namespace(**vars(args), c_zero=False))
     certs = []
     for eps in grid:
         cert = ldp.certify(channels.depolarizing(2, float(eps)), float(eps))
         certs.append([float(eps), cert.sup_value, cert.margin,
                       int(cert.verdict)])
-    _emit_csv(to("certification.csv"), ["eps", "sup_value", "margin", "verdict"],
-              certs)
-
-    mid_eps = float(grid[len(grid) // 2])
-    sim = estimation.validate_upper_bound(fam, args.lam, args.alpha, mid_eps,
-                                          args.trials, args.seed)
-    _emit(to("simulation.json"), sim)
-
-    manifest = {
+    files = {
+        "bounds.csv": bounds_csv,
+        "optimizer.csv": sweep,
+        "certification.csv": _csv(["eps", "sup_value", "margin", "verdict"],
+                                  certs),
+        "simulation.json": _artifact(args, sim),
+    }
+    files["manifest.json"] = _json({
         "schema": SCHEMA,
         "family": fam.label,
         "lambda": args.lam,
@@ -265,11 +241,12 @@ def cmd_report(args):
         "seed": args.seed,
         "starts": args.starts,
         "trials": args.trials,
-        "files": ["bounds.csv", "optimizer.csv", "certification.csv",
-                  "simulation.json"],
-    }
-    _write(os.path.join(outdir, "manifest.json"), _json(manifest))
-    return 0
+        "files": list(files),
+    })
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, text in files.items():
+        _write(os.path.join(args.out_dir, name), text)
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +383,14 @@ def _apply_config_file(subparsers, argv):
         if action is not None:
             defaults[action.dest] = _config_value(action, value)
             action.required = False
+    # the parse sees a file's value as a default, never as a conflict: a
+    # flag drops the file's values for its whole either-or group
+    flags = {t.split("=", 1)[0] for t in argv if t.startswith("--")} - {"--"}
+    for group in subparser._mutually_exclusive_groups:
+        names = [s for a in group._group_actions for s in a.option_strings]
+        if any(s.startswith(f) for s in names for f in flags):
+            for a in group._group_actions:
+                defaults.pop(a.dest, None)
     subparser.set_defaults(**defaults)
 
 
@@ -443,7 +428,9 @@ def main(argv=None):
             _apply_config_file(subparsers, argv)
         args = parser.parse_args(argv)
         _check_options(args)
-        return args.func(args)
+        # the one writer of a command's artifact: its --out file or stdout
+        _write(getattr(args, "out", None), args.func(args))
+        return 0
     except OutOfRegimeError as exc:
         sys.stderr.write(f"out of regime: {exc}\n")
         return 2

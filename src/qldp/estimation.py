@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, bounds, channels
-from .exceptions import InvalidInputError, RankDeficientError, check_count
+from .exceptions import OutOfRegimeError, RankDeficientError, check_count
 
 FULL_RANK_TOL = 1e-10
 MAX_COPIES = 2**63 - 1  # the multinomial sampler counts in int64
@@ -104,7 +104,7 @@ def simulate(fam, lam0, ch, n_copies, trials, seed):
     fisher = meas.fisher
     scale = n_copies * fisher
     if scale <= 0.0 or not np.isfinite(1.0 / scale):
-        raise InvalidInputError(
+        raise OutOfRegimeError(
             f"N * F = {scale} leaves the estimator undefined"
         )
     score_sums = _score_sums(np.random.default_rng(seed), meas, n_copies,

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import bounds, channels, ldp, qfi as qfi_mod
 from .exceptions import (
-    InvalidBudgetError,
+    OutOfRegimeError,
     UnsupportedDimensionError,
     check_budget,
     check_count,
@@ -245,7 +245,7 @@ def maximize_qfi(fam, lam, eps, starts=32, seed=0, c_zero=False,
         raise UnsupportedDimensionError("channel search is qubit-only")
     check_budget(eps)
     if eps <= 0:
-        raise InvalidBudgetError(f"eps must be > 0, got {eps}")
+        raise OutOfRegimeError("no information flows at eps = 0")
     check_count("starts", starts, 0, MAX_STARTS)
     check_count("seed", seed)
     check_count("max_evals", max_evals)

@@ -364,7 +364,35 @@ def test_out_file_and_rerun_identical(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_config_file_with_flag_precedence(capsys, tmp_path):
+OUT_ARGVS = [
+    ["qfi", "--family", "radial", "--lambda", "0.6"],
+    ["certify", "--depolarizing", "--eps", "1"],
+    ["tighteps", "--channel={channel}"],
+    ["audit", "--depolarizing", "--eps", "1", "--n", "20", "--seed", "3"],
+    ["bounds", "--family", "radial", "--lambda", "0.6", "--alpha", "0.01",
+     "--eps", "0.3"],
+    ["scaling", "--family", "radial", "--lambda", "0.6", "--alpha", "0.01",
+     "--eps-grid", "0.1:1:3"],
+    ["simulate", "--family", "radial", "--lambda0", "0.6", "--eps", "1",
+     "--trials", "50", "--out-format", "csv"],
+    ["optimize", "--family", "radial", "--lambda", "0.6", "--eps", "0.5",
+     "--starts", "1"],
+    ["optimize-sweep", "--family", "radial", "--lambda", "0.6",
+     "--eps-grid", "0.2:1:2", "--starts", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_ARGVS, ids=[a[0] for a in OUT_ARGVS])
+def test_out_file_is_the_stdout_artifact(argv, capsys, tmp_path, cli_files):
+    argv = [t.format(**cli_files) for t in argv]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "artifact"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_config_file_with_flag_precedence(capsys, tmp_path, cli_files):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lam": 0.6, "alpha": 0.01, "eps": 0.5}))
     code, out = run_cli(capsys, "--config", str(cfg), "bounds",
@@ -383,6 +411,17 @@ def test_config_file_with_flag_precedence(capsys, tmp_path):
                         "--family", "radial", "--lambda0", "0.6", "--eps", "1.0")
     assert code == 0
     assert json.loads(out)["config"]["trials"] == 7
+    # a flag also beats the file's value for its either-or partner
+    bounds = ["bounds", "--family", "radial", "--lambda", "0.6", "--alpha",
+              "0.01", "--eps", "0.3", "--thm2"]
+    certify = ["certify", "--depolarizing", "--eps", "1"]
+    for key, value, argv in (("corollary1", True, bounds),
+                             ("channel", cli_files["channel"], certify)):
+        cfg.write_text(json.dumps({key: value}))
+        code, out = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 0, key
+        assert json.loads(out)["result"] \
+            == json.loads(run_cli(capsys, *argv)[1])["result"], key
 
 
 def test_config_file_supplies_a_required_option(capsys, tmp_path):
@@ -432,6 +471,19 @@ def test_report_bundle(capsys, tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--eps-grid", "0.1:20:3"], 2),  # 20 is above the channel budget
+    (["--trials", "0"], 3),
+    (["--starts", "1001"], 3),
+], ids=["grid", "trials", "starts"])
+def test_refused_report_writes_no_file(flags, code, capsys, tmp_path):
+    outdir = tmp_path / "bundle"
+    assert run_cli(capsys, "report", "--family", "radial", "--eps-grid",
+                   "0.1:1:3", "--starts", "1", "--trials", "50", *flags,
+                   "--out-dir", str(outdir)) == (code, "")
+    assert not outdir.exists()
+
+
 def test_report_rerun_byte_identical(capsys, tmp_path):
     args = ["report", "--family", "radial", "--lambda", "0.6",
             "--alpha", "0.01", "--eps-grid", "0.05:0.5:3", "--starts", "2",
@@ -469,6 +521,11 @@ EXIT_CODES = [
     (["bounds", "--family", "radial", "--lambda", "0.6", "--alpha", "0.01",
       "--eps", "0.3", "--corollary1", "--thm2"], 2),
     (["qfi", "--family", "radial", "--lambda", "1.0000000001"], 0),
+    # no information flows at eps = 0: out of regime, as for the bounds
+    (["optimize", "--family", "radial", "--lambda", "0.6", "--eps", "0",
+      "--starts", "1"], 2),
+    (["simulate", "--family", "radial", "--lambda0", "0.6", "--n", "5",
+      "--eps", "0", "--trials", "5"], 2),
 ]
 
 
@@ -527,26 +584,39 @@ STARTS, SEED, N, TRIALS = (_flag(name, COUNTS)
                            for name in ("starts", "seed", "n", "trials"))
 SOURCE = st.sampled_from([["--channel={channel}"], ["--depolarizing"],
                           ["--channel={channel}", "--depolarizing"]])
+OUT = _maybe(st.just(["--out={tmp}/out"]))
+# report draws mostly valid options, so that many bundles are written: at
+# most 3 budgets, some past the channel budget 10, and cheap searches
+REPORT = [
+    _flag("family", st.sampled_from(["radial", "rotation", "axis-2",
+                                     "axis-x"])),
+    _maybe(_flag("lambda", st.sampled_from([0.3, -0.9, 1.0000000001, 1.5]))),
+    _maybe(_flag("alpha", st.sampled_from([0.01, 0.2, 0.0]))),
+    st.one_of(_flag("eps-grid", st.builds(
+        "{}:{}:{}".format, st.sampled_from([0.05, 0.5, 4.0]),
+        st.sampled_from([1.0, 8.0, 20.0]), st.integers(2, 3))), GRID),
+    _flag("starts", st.integers(0, 2)), _flag("trials", st.integers(0, 3)),
+    st.just(["--out-dir={tmp}/report"])]
 
-# subcommand -> option groups; files are {channel}, {rho}, {sigma}, {bundle}
+# subcommand -> option groups; files are {channel}, {rho}, {sigma}, and
+# the run's own empty directory {tmp}
 COMMANDS = {
-    "qfi": [FAMILY, DIM, LAMBDA],
-    "certify": [SOURCE, _maybe(EPS), _maybe(_flag("at-eps", REALS)), DIM],
-    "tighteps": [st.just(["--channel={channel}"])],
-    "audit": [SOURCE, EPS, N, DIM, SEED],
+    "qfi": [FAMILY, DIM, LAMBDA, OUT],
+    "certify": [SOURCE, _maybe(EPS), _maybe(_flag("at-eps", REALS)), DIM, OUT],
+    "tighteps": [st.just(["--channel={channel}"]), OUT],
+    "audit": [SOURCE, EPS, N, DIM, SEED, OUT],
     "divergence": [_flag("gamma", REALS), st.just(["--rho={rho}",
                                                    "--sigma={sigma}"])],
     "bounds": [FAMILY, DIM, LAMBDA, ALPHA, EPS, _maybe(_flag("bias", REALS)),
                _maybe(st.just(["--corollary1"]), st.just(["--thm2"]),
-                      st.just(["--corollary1", "--thm2"]))],
-    "scaling": [FAMILY, LAMBDA, ALPHA, GRID],
+                      st.just(["--corollary1", "--thm2"])), OUT],
+    "scaling": [FAMILY, LAMBDA, ALPHA, GRID, OUT],
     "simulate": [FAMILY, _flag("lambda0", REALS), EPS, ALPHA, TRIALS, SEED,
-                 _maybe(N, st.just(["--channel={channel}", "--n=3"]))],
+                 _maybe(N, st.just(["--channel={channel}", "--n=3"])), OUT],
     "optimize": [FAMILY, LAMBDA, EPS, STARTS, SEED,
-                 _maybe(st.just(["--c-zero"]))],
-    "optimize-sweep": [FAMILY, LAMBDA, GRID, STARTS],
-    "report": [FAMILY, LAMBDA, ALPHA, GRID, STARTS, TRIALS,
-               st.just(["--out-dir={bundle}"])],
+                 _maybe(st.just(["--c-zero"])), OUT],
+    "optimize-sweep": [FAMILY, LAMBDA, GRID, STARTS, OUT],
+    "report": REPORT,
 }
 ARGVS = st.sampled_from(sorted(COMMANDS)).flatmap(
     lambda cmd: st.tuples(*COMMANDS[cmd]).map(
@@ -568,18 +638,19 @@ def cli_files(tmp_path_factory):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=ARGVS)
 def test_every_subcommand_keeps_exit_and_output_contract(argv, cli_files):
-    with tempfile.TemporaryDirectory() as bundle:
-        argv = [t.format(bundle=bundle, **cli_files) for t in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [t.format(tmp=tmp, **cli_files) for t in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = exit_code(argv)
         out = out.getvalue()
+        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
         assert code in (0, 2, 3), (argv, err.getvalue())
         if code != 0:
-            assert out == "", argv
+            assert (out, files) == ("", []), argv  # a refusal writes nothing
             return
-        texts = ([p.read_text() for p in sorted(Path(bundle).iterdir())]
-                 if argv[0] == "report" else [out])
+        assert (out == "") == bool(files), argv  # to its files or to stdout
+        texts = [p.read_text() for p in files] or [out]
     for text in texts:
         if argv[0] == "divergence":
             assert math.isfinite(float(text)), argv

@@ -96,9 +96,11 @@ def test_more_starts_never_worse():
 
 
 def test_rejects_bad_inputs():
-    for eps in (0.0, float("nan"), float("inf"), 1e3):
+    for eps in (float("nan"), float("inf"), 1e3):
         with pytest.raises(InvalidBudgetError):
             maximize_qfi(radial_family(), 0.6, eps, starts=2)
+    with pytest.raises(OutOfRegimeError):  # as for the bounds at eps = 0
+        maximize_qfi(radial_family(), 0.6, 0.0, starts=2)
     with pytest.raises(InvalidInputError):
         maximize_qfi(radial_family(), float("nan"), 0.5, starts=2)
     with pytest.raises(NotAStateError):
