@@ -3,7 +3,8 @@
 Qubit states are written rho = (I + w.sigma)/2 with w in the closed unit
 ball; qudits use rho = I/d + (1/2) w.eta with the generalized Gell-Mann
 generators eta normalized so that trace(eta_i eta_j) = 2 delta_ij (the
-d=2 case then reproduces the Pauli matrices exactly).
+d=2 case then reproduces the Pauli matrices exactly). `to_operator` is the
+one map w -> (1/2) w.eta; `check_positive` is the one "not a state" rule.
 """
 
 from functools import lru_cache
@@ -71,21 +72,39 @@ def generators(d):
     return etas
 
 
+def to_operator(w, d):
+    """(1/2) w.eta for one Bloch vector w, or for a stack of them along the
+    last axis (one product for the stack)."""
+    return 0.5 * np.tensordot(w, generators(d), axes=(np.ndim(w) - 1, 0))
+
+
 def to_density(w, d=None):
-    """Map a Bloch vector to its density matrix I/d + (1/2) w.eta.
+    """Map a Bloch vector to its density matrix I/d + `to_operator(w, d)`.
 
     Hermiticity and unit trace hold by construction; raises NotAStateError
-    by `check_positive` (so also for non-finite entries).
+    by `state_eigh` (so also for non-finite entries).
     """
     w = np.asarray(w, dtype=float)
     if d is None:
         d = int(round(np.sqrt(w.size + 1)))
     if w.shape != (d * d - 1,):
         raise InvalidInputError(f"Bloch vector of shape {w.shape} for d={d}")
-    etas = generators(d)
-    rho = np.eye(d, dtype=complex) / d + 0.5 * np.tensordot(w, etas, axes=(0, 0))
-    check_positive(np.linalg.eigvalsh(rho)[0])
+    rho = np.eye(d, dtype=complex) / d + to_operator(w, d)
+    state_eigh(rho)
     return rho
+
+
+def state_eigh(rho, vectors=False):
+    """eigvalsh(rho), or eigh(rho) with vectors=True, of a Hermitian
+    unit-trace rho, once `check_positive` passes its lowest eigenvalue. On
+    the NaN entries of I/d + `to_operator(w, d)` for a non-finite w, LAPACK
+    returns NaN or does not converge: NotAStateError either way."""
+    try:
+        out = np.linalg.eigh(rho) if vectors else np.linalg.eigvalsh(rho)
+    except np.linalg.LinAlgError:
+        out = None
+    check_positive(np.nan if out is None else (out[0] if vectors else out)[0])
+    return out
 
 
 def from_density(rho):
@@ -110,7 +129,8 @@ def check_hermitian(M, tol=HERMITICITY_TOL):
 
 def check_positive(lo):
     """Raise NotAStateError unless the lowest eigenvalue lo >= POSITIVITY_TOL
-    (also when lo is NaN)."""
+    (also when lo is NaN). The qubit paths pass (1 - ||w||)/2, the lowest
+    eigenvalue of (I + w.sigma)/2, so a qubit state has ||w|| <= 1 + 2e-10."""
     if not lo >= POSITIVITY_TOL:
         raise NotAStateError(f"not a state: min eigenvalue {lo:.3e}",
                              eigenvalue=float(lo))
@@ -124,9 +144,7 @@ def check_density(rho):
     check_hermitian(rho)
     if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
         raise InvalidInputError(f"trace is {np.trace(rho).real!r}, expected 1")
-    p, V = np.linalg.eigh(rho)
-    check_positive(p[0])
-    return p, V
+    return state_eigh(rho, vectors=True)
 
 
 def check_derivative(drho, d):
@@ -140,14 +158,6 @@ def check_derivative(drho, d):
         raise InvalidInputError(
             f"derivative matrix must be traceless, got trace {np.trace(drho)!r}")
     return drho
-
-
-def in_qubit_ball(r):
-    """The qubit state rule on a Bloch-vector norm r (or an array of them):
-    the lowest eigenvalue (1 - r)/2 of (I + w.sigma)/2 is >= POSITIVITY_TOL,
-    the bound `check_positive` puts on the eigenvalues of every state, so
-    ||w|| <= 1 + 2e-10. False on NaN."""
-    return 0.5 * (1.0 - r) >= POSITIVITY_TOL
 
 
 def random_bloch_vector(d, rng, size=None):

@@ -31,6 +31,7 @@ class AffineChannel:
     c: np.ndarray
 
     def __post_init__(self):
+        bloch.check_dimension(self.d)
         n = self.d * self.d - 1
         A = np.asarray(self.A, dtype=float)
         c = np.asarray(self.c, dtype=float)
@@ -129,7 +130,7 @@ def cp_check(ch):
     eye = np.eye(2)
     # sum_jk |j><k| tr(|j><k|) = I and sum_jk |j><k| tr(|j><k| sigma_l)
     # = sigma_l^T
-    choi = (np.kron(eye, 0.5 * (eye + np.tensordot(ch.c, sig, axes=(0, 0))))
+    choi = (np.kron(eye, 0.5 * eye + bloch.to_operator(ch.c, 2))
             + 0.5 * np.einsum("il,lba,icd->acbd", ch.A, sig, sig).reshape(4, 4))
     lo = float(np.linalg.eigvalsh(choi)[0])
     return lo >= CHOI_TOL, lo

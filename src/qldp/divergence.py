@@ -34,7 +34,8 @@ def hockey_stick(rho, sigma, gamma):
 
 
 def hockey_stick_unchecked(rho, sigma, gamma):
-    """`hockey_stick` without its checks, for states by construction; clamped
+    """`hockey_stick` without its state checks, for states by construction;
+    `trace_norm` still checks that rho - gamma sigma is Hermitian. Clamped
     at 0, as the eigenvalue sum can round a zero divergence to -1e-15."""
     val = 0.5 * trace_norm(rho - gamma * sigma) + 0.5 * (1.0 - gamma)
     return max(0.0, val)
@@ -43,8 +44,9 @@ def hockey_stick_unchecked(rho, sigma, gamma):
 def hockey_stick_qubit(w, v, gamma):
     """Closed-form qubit divergence from Bloch vectors (batched over rows
     of length 3, the two batches broadcast), each a state by
-    `bloch.in_qubit_ball`, the rule `hockey_stick` applies to density
-    matrices too: max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
+    `bloch.check_positive` on the batch's lowest eigenvalue (1 - ||w||)/2,
+    the rule `hockey_stick` applies to density matrices too:
+    max{0, (1/2)||w - gamma v|| + (1/2)(1 - gamma)}."""
     if not 1.0 <= gamma < math.inf:
         raise InvalidInputError(f"gamma must be finite and >= 1, got {gamma}")
     w = np.asarray(w, dtype=float)
@@ -57,8 +59,8 @@ def hockey_stick_qubit(w, v, gamma):
     except ValueError:
         raise InvalidInputError(f"batches of shapes {w.shape} and {v.shape} "
                                 "do not broadcast") from None
-    if not (np.all(bloch.in_qubit_ball(np.linalg.norm(w, axis=-1)))
-            and np.all(bloch.in_qubit_ball(np.linalg.norm(v, axis=-1)))):
-        raise InvalidInputError("rows must be finite vectors in the Bloch ball")
+    for x in (w, v):  # initial: an empty batch holds no non-state
+        bloch.check_positive(
+            np.min(0.5 * (1.0 - np.linalg.norm(x, axis=-1)), initial=0.5))
     diff = np.linalg.norm(w - gamma * v, axis=-1)
     return np.maximum(0.0, 0.5 * diff + 0.5 * (1.0 - gamma))

@@ -74,9 +74,8 @@ def _privatized_operating_point(fam, lam0, ch):
     w, dw = fam.point(lam0)
     wbar = channels.apply(ch, w)
     dwbar = ch.A @ dw
-    etas = bloch.generators(fam.d)
     rho = bloch.to_density(wbar, fam.d)
-    drho = 0.5 * np.tensordot(dwbar, etas, axes=(0, 0))
+    drho = bloch.to_operator(dwbar, fam.d)
     return rho, drho
 
 

@@ -19,16 +19,17 @@ class UnsupportedDimensionError(QldpError):
     """Operation only defined for qubits (d=2) was called with d != 2."""
 
 
-class NotAStateError(QldpError):
-    """A candidate density matrix has a negative eigenvalue."""
+class InvalidInputError(QldpError):
+    """Malformed input (non-Hermitian matrix, shape mismatch, ...)."""
+
+
+class NotAStateError(InvalidInputError):
+    """A candidate state has a negative (or NaN) lowest eigenvalue: the one
+    "not a state" error, from `bloch.check_positive`, at every dimension."""
 
     def __init__(self, message, eigenvalue=None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
-
-
-class InvalidInputError(QldpError):
-    """Malformed input (non-Hermitian matrix, shape mismatch, ...)."""
 
 
 def check_count(name, value, low=0, high=None):

@@ -79,9 +79,9 @@ def qubit_qfi_kernel(ww, dd, wd):
 
 def qfi_qubit(w, dw):
     """Qubit QFI of a Bloch vector w and its derivative dw, each of length
-    3, by `qubit_qfi_kernel`. w must be a state by `bloch.in_qubit_ball`,
-    the rule `to_density` applies too, and dw must be finite;
-    InvalidInputError otherwise."""
+    3, by `qubit_qfi_kernel`. w must be a state by `bloch.check_positive`
+    on the lowest eigenvalue (1 - ||w||)/2, the rule `to_density` applies
+    too (NotAStateError), and dw must be finite (InvalidInputError)."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     if w.shape != (3,) or dw.shape != (3,):
@@ -89,29 +89,28 @@ def qfi_qubit(w, dw):
             f"expected two qubit Bloch vectors of length 3, got shapes "
             f"{w.shape} and {dw.shape}")
     ww, dd = float(w @ w), float(dw @ dw)
-    r = math.sqrt(ww)
-    if not (bloch.in_qubit_ball(r) and dd < math.inf):  # False on NaN
-        raise InvalidInputError(f"need a qubit state w and finite dw, got "
-                                f"||w|| = {r}, ||dw||^2 = {dd}")
+    bloch.check_positive(0.5 * (1.0 - math.sqrt(ww)))
+    if not dd < math.inf:  # False on NaN
+        raise InvalidInputError(f"need a finite dw, got ||dw||^2 = {dd}")
     return QfiResult(*qubit_qfi_kernel(ww, dd, float(w @ dw)))
 
 
 def qfi_qudit(d, w, dw):
     """Qudit QFI by the SLD route. One eigh of rho = I/d + (1/2) w.eta goes
-    through `bloch.check_positive`; then ||dw||^2 on the outer (pure)
-    boundary, and in the interior the SLD sum for drho = (1/2) dw.eta."""
+    through `bloch.state_eigh` (NotAStateError, also for a non-finite w);
+    then ||dw||^2 on the outer (pure) boundary, and in the interior the SLD
+    sum for drho = (1/2) dw.eta."""
     w = np.asarray(w, dtype=float)
     dw = np.asarray(dw, dtype=float)
     n = d * d - 1
-    if w.shape != (n,) or dw.shape != (n,) or not np.isfinite([w, dw]).all():
+    if w.shape != (n,) or dw.shape != (n,) or not np.isfinite(dw).all():
         raise InvalidInputError(
-            f"expected two finite Bloch vectors of length {n}, got shapes "
+            f"expected two Bloch vectors of length {n}, dw finite, got shapes "
             f"{w.shape} and {dw.shape}")
-    # rho - I/d and drho in one product with the flattened generators
-    rho, drho = (0.5 * np.array([w, dw]) @ bloch.generators(d).reshape(n, -1)
-                 ).reshape(2, d, d)
-    p, V = np.linalg.eigh(rho + np.eye(d) / d)
-    bloch.check_positive(p[0])
+    # rho - I/d and drho in one product on the stack: two one-row products
+    # would round differently in the last bit
+    rho, drho = bloch.to_operator(np.array([w, dw]), d)
+    p, V = bloch.state_eigh(rho + np.eye(d) / d, vectors=True)
     if float(np.linalg.norm(w)) >= bloch.max_radius(d) - BOUNDARY_TOL:
         return QfiResult(value=float(dw @ dw), branch="boundary")
     return QfiResult(value=_sld_sum(p, V, drho), branch="interior")

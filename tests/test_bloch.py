@@ -37,6 +37,16 @@ def test_generators_rejects_bad_dimension():
             bloch.generators(d)
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_to_operator_stack_is_the_flattened_product(d, rng):
+    # the product qfi_qudit took before to_operator, to the last bit
+    n = d * d - 1
+    for _ in range(10):
+        X = rng.standard_normal((2, n))
+        flat = (0.5 * X @ bloch.generators(d).reshape(n, -1)).reshape(2, d, d)
+        assert np.array_equal(bloch.to_operator(X, d), flat)
+
+
 def test_to_density_maximally_mixed():
     assert np.allclose(bloch.to_density(np.zeros(3)), np.eye(2) / 2)
 

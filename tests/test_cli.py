@@ -538,6 +538,28 @@ def test_exit_codes(argv, code, capsys, cli_files):
     assert (out == "") == (code != 0), argv
 
 
+# a non-channel (A = 2I, c = 0) is refused alike at d = 2 (the closed-form
+# qubit audit) and d = 3 (density matrices); a channel file's d is a
+# dimension in [2, 16]
+REFUSALS = [
+    (["audit", "--channel={double2}", "--eps", "1", "--n", "5"],
+     "invalid input: not a state"),
+    (["audit", "--channel={double3}", "--eps", "1", "--n", "5"],
+     "invalid input: not a state"),
+    (["certify", "--channel={dim_negative}", "--eps", "1"],
+     "invalid input: dimension must be an integer in [2, 16], got -2"),
+]
+
+
+@pytest.mark.parametrize("argv, prefix", REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_refusal_messages(argv, prefix, capsys, cli_files):
+    argv = [t.format(**cli_files) for t in argv]
+    assert exit_code(argv) == 3, argv
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix), err
+
+
 def test_extreme_budget_is_out_of_regime(capsys):
     # e^eps - 1 and eps^2 underflow at eps = 1e-300: no count is finite
     bounds = ["bounds", "--family", "radial", "--lambda", "0.6",
@@ -629,7 +651,13 @@ def cli_files(tmp_path_factory):
     channel = str(tmp / "chan.json")
     channels.AffineChannel(2, np.diag([0.5, 0.3, 0.2]),
                            np.array([0.1, 0.05, 0.0])).save(channel)
-    return {"channel": channel,
+    files = {}
+    for name, d in (("double2", 2), ("double3", 3), ("dim_negative", -2)):
+        files[name] = str(tmp / f"{name}.json")
+        n = d * d - 1
+        Path(files[name]).write_text(json.dumps(
+            {"d": d, "A": (2.0 * np.eye(n)).tolist(), "c": [0.0] * n}))
+    return {**files, "channel": channel,
             "rho": density_file(tmp, "rho.json", np.diag([0.9, 0.1])),
             "sigma": density_file(tmp, "sigma.json",
                                   [[0.5, 0.2j], [-0.2j, 0.5]])}

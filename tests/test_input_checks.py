@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 
 import qldp
-from qldp.bloch import to_density
+from qldp.bloch import max_radius, to_density
 from qldp.bounds import fisher_cap, fisher_cap_thm1, fisher_cap_thm2
 from qldp.channels import AffineChannel, depolarizing
 from qldp.divergence import hockey_stick, hockey_stick_qubit
 from qldp.estimation import simulate, sld_measurement
-from qldp.exceptions import InvalidBudgetError, InvalidInputError, NotAStateError
+from qldp.exceptions import (
+    InvalidBudgetError,
+    InvalidDimensionError,
+    InvalidInputError,
+    NotAStateError,
+)
 from qldp.ldp import audit_by_sampling
 from qldp.optimizer import maximize_qfi
 from qldp.qfi import (
@@ -21,6 +26,7 @@ from qldp.qfi import (
     family_by_name,
     qfi_family,
     qfi_qubit,
+    qfi_qudit,
     qfi_sld_oracle,
     radial_family,
 )
@@ -49,7 +55,7 @@ REPRODUCERS = {
                            NotAStateError),
     "hockey-stick-qubit-ball": (
         lambda: hockey_stick_qubit([2.0, 0, 0], [0.0, 0, 0], 1.5),
-        InvalidInputError),
+        NotAStateError),
     "hockey-stick-qubit-row-length": (
         lambda: hockey_stick_qubit([0.5, 0, 0, 0, 0], [0.5, 0, 0, 0, 0], 1.0),
         InvalidInputError),
@@ -66,6 +72,11 @@ REPRODUCERS = {
         lambda: AffineChannel.from_dict({"d": "2", "A": np.eye(3).tolist(),
                                          "c": [0.0, 0.0, 0.0]}),
         InvalidInputError),
+    # A and c of the shapes d implies: only the dimension check refuses
+    **{f"channel-d={d}": (
+        lambda d=d: AffineChannel(d, np.zeros((d * d - 1,) * 2),
+                                  np.zeros(d * d - 1)),
+        InvalidDimensionError) for d in (-2, 1, 17)},
     "family-axis-letter": (lambda: family_by_name("axis-x"), InvalidInputError),
     "family-axis-empty": (lambda: family_by_name("axis-"), InvalidInputError),
     "family-axis-fraction": (lambda: family_by_name("axis-1.5"),
@@ -119,6 +130,10 @@ def test_invalid_input_raises_its_error(case):
         call()
 
 
+def test_not_a_state_is_a_kind_of_invalid_input():
+    assert issubclass(NotAStateError, InvalidInputError)
+
+
 # ||w|| - 1 on either side of the qubit state rule, ||w|| <= 1 + 2e-10
 @pytest.mark.parametrize("excess", [-1e-13, 1e-13, 1e-11, 1.5e-10, 2.5e-10,
                                     1e-9])
@@ -126,17 +141,46 @@ def test_every_qubit_path_applies_one_state_rule(excess):
     u, center = np.array([1.0, 2.0, 2.0]) / 3.0, np.zeros(3)
     w = (1.0 + excess) * u
     fam = StateFamily(d=2, omega_of=lambda lam: w, d_omega_of=lambda lam: u)
-    paths = [(lambda: to_density(w), NotAStateError),
-             (lambda: qfi_qubit(w, u), InvalidInputError),
-             (lambda: hockey_stick_qubit(w, center, 1.5), InvalidInputError),
-             (lambda: hockey_stick_qubit(center, w, 1.5), InvalidInputError),
-             (lambda: qfi_family(fam, 0.0), NotAStateError)]
-    for call, error in paths:
+    constant = AffineChannel(2, np.zeros((3, 3)), w)  # every output is w
+    paths = [lambda: to_density(w),
+             lambda: qfi_qubit(w, u),
+             lambda: hockey_stick_qubit(w, center, 1.5),
+             lambda: hockey_stick_qubit(center, w, 1.5),
+             lambda: qfi_family(fam, 0.0),
+             lambda: audit_by_sampling(depolarizing(2, 1.0), 1.0, 1, 0,
+                                       extra_pairs=[(w, center)]),
+             lambda: audit_by_sampling(constant, 1.0, 1, 0)]
+    for call in paths:
         if excess <= 2e-10:
             call()
         else:
-            with pytest.raises(error):
+            with pytest.raises(NotAStateError):
                 call()
+
+
+# a vector past the state body, or NaN, on every path that takes a Bloch
+# vector; a channel's c is finite, so only the outside vector is an output
+@pytest.mark.parametrize("kind", ["outside", "nan"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_not_a_state_is_one_error_at_every_dimension(d, kind):
+    n = d * d - 1
+    u = np.eye(n)[n - 1]  # the last diagonal generator
+    w = np.full(n, np.nan) if kind == "nan" else 2.0 * max_radius(d) * u
+    fam = StateFamily(d=d, omega_of=lambda lam: w, d_omega_of=lambda lam: u)
+    paths = [lambda: to_density(w, d),
+             lambda: fam.point(0.0),
+             lambda: qfi_qudit(d, w, u),
+             lambda: audit_by_sampling(depolarizing(d, 1.0), 1.0, 1, 0,
+                                       extra_pairs=[(w, np.zeros(n))])]
+    if d == 2:
+        paths += [lambda: qfi_qubit(w, u),
+                  lambda: hockey_stick_qubit(w, np.zeros(n), 1.5)]
+    if kind == "outside":
+        paths.append(lambda: audit_by_sampling(
+            AffineChannel(d, np.zeros((n, n)), w), 1.0, 1, 0))
+    for call in paths:
+        with np.errstate(invalid="ignore"), pytest.raises(NotAStateError):
+            call()
 
 
 def test_zero_starts_and_evaluations_stay_valid():

@@ -437,6 +437,15 @@ def test_audit_rejects_extra_pairs_outside_the_state_body():
                           extra_pairs=[([3, 0, 0], [-3, 0, 0])])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_audit_refuses_a_non_channel_alike_at_every_dimension(d):
+    # A = 2I doubles every sampled pure state out of the state body
+    n = d * d - 1
+    with pytest.raises(NotAStateError):
+        audit_by_sampling(AffineChannel(d, 2.0 * np.eye(n), np.zeros(n)),
+                          1.0, 5, 0)
+
+
 @pytest.mark.parametrize("pair", [([1, 0], [0, 1]), ([0, 0, 1],), (1, 2)])
 def test_audit_rejects_malformed_extra_pairs(pair):
     with pytest.raises(InvalidInputError):
